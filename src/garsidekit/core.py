@@ -190,9 +190,18 @@ class BraidWord:
         return BraidWord(self.structure, base.letters * abs(exponent))
 
     def raw_nf(self) -> tuple[int, tuple[bytes, ...]]:
-        return kernels.word_to_nf(
-            self.structure.kind_code, self.structure.strand_count, self.letters
-        )
+        """Kernel greedy form ``(k, factors)``, computed once per word.
+
+        The form is stored on the instance outside the dataclass fields,
+        so equality, hashing and ``repr`` still see only the letters.
+        """
+        nf = self.__dict__.get("_raw_nf")
+        if nf is None:
+            nf = kernels.word_to_nf(
+                self.structure.kind_code, self.structure.strand_count, self.letters
+            )
+            object.__setattr__(self, "_raw_nf", nf)
+        return nf
 
 
 @dataclasses.dataclass(frozen=True)

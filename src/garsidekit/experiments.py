@@ -8,6 +8,15 @@ correct first generator rank? Ties are reordered uniformly at random.
 Histograms of the best attained position, accumulated over many samples,
 measure how useful the metric is for peeling equations.
 
+Work per sample: each generator is normalized once per structure, so an
+Artin-versus-band comparison makes 2·NG word normalizations. X is the
+product of the generators' normal forms along the sentence, never a
+normalization of the sentence itself, and a word keeps its normal form,
+so ``compute_cor`` and the Artin ranking share theirs. The set of correct
+first generators (COR) comes from a commutation test: generator i first
+occurs at slot i, so it may stand first exactly when it commutes with the
+product of the factors before it.
+
 Reproducibility: every sample derives its own generators from
 SHA-256(seed, "sample", index) feeding a Mersenne Twister, and its tie
 shuffles from SHA-256(seed, "rank", index), so results are bit-identical
@@ -84,7 +93,10 @@ class ExperimentResult:
     samples: int
 
     def __post_init__(self):
-        assert sum(self.histogram) == self.samples
+        if sum(self.histogram) != self.samples:
+            raise ValueError(
+                f"histogram counts {sum(self.histogram)} samples, not {self.samples}"
+            )
 
     @property
     def cumulative(self) -> tuple[float, ...]:
@@ -128,36 +140,53 @@ def compute_cor(
     the first occurrence of ``a_i`` removed (for generators that do not
     occur, when ``a_i`` is trivial). Index 1 always qualifies. The factor
     count is derived from the letter counts when not given, which needs
-    equal-length generators (the sampling model guarantees that).
+    equal-length generators (the sampling model guarantees that). Raises
+    ``ValueError`` when the sentence is not the generators' product along
+    :func:`sentence_indices`.
     """
     structure = sample.sentence.structure
     code, n = structure.kind_code, structure.strand_count
-    ng = len(sample.generators)
-    if sentence_length is None:
-        sentence_length = _sentence_length(sample)
-    indices = sentence_indices(sentence_length, ng)
     gen_nfs = [g.raw_nf() for g in sample.generators]
-    factor_nfs = [gen_nfs[i - 1] for i in indices]
-    sl = len(indices)
-    prefix = [(0, ())]
-    for nf in factor_nfs:
-        prefix.append(kernels.multiply_nf(code, n, *prefix[-1], *nf))
-    suffix = [(0, ())]
-    for nf in reversed(factor_nfs):
-        suffix.append(kernels.multiply_nf(code, n, *nf, *suffix[-1]))
-    suffix.reverse()
-    target = prefix[-1]
+    prefix = _sentence_prefixes(sample, code, n, gen_nfs, sentence_length)
     out = set()
-    for i in range(1, ng + 1):
-        if i <= sl:
-            # Sentence factors cycle, so generator i first occurs at slot i.
-            rest = kernels.multiply_nf(code, n, *prefix[i - 1], *suffix[i])
-            candidate = kernels.multiply_nf(code, n, *gen_nfs[i - 1], *rest)
-            if candidate == target:
+    for i, nf in enumerate(gen_nfs, start=1):
+        if i < len(prefix):
+            # Sentence factors cycle, so generator i first occurs at slot i
+            # and X = P a_i S with P = prefix[i-1]. Cancelling S on the
+            # right, a_i P S = X exactly when a_i P = P a_i = prefix[i].
+            if kernels.multiply_nf(code, n, *nf, *prefix[i - 1]) == prefix[i]:
                 out.add(i)
-        elif gen_nfs[i - 1] == (0, ()):
+        elif nf == (0, ()):
             out.add(i)
     return frozenset(out)
+
+
+def _sentence_prefixes(
+    sample: ExperimentSample,
+    code: int,
+    n: int,
+    gen_nfs: Sequence[tuple[int, tuple[bytes, ...]]],
+    sentence_length: int | None,
+) -> list[tuple[int, tuple[bytes, ...]]]:
+    """Forms of the first 0..SL sentence factors, from the generators' forms.
+
+    ``gen_nfs`` holds the generators' forms in the structure ``(code, n)``;
+    the last entry returned is the form of X there, so the sentence itself
+    is never normalized. Raises ``ValueError`` unless the sentence's
+    letters are the generators' concatenation along :func:`sentence_indices`.
+    """
+    if sentence_length is None:
+        sentence_length = _sentence_length(sample)
+    indices = sentence_indices(sentence_length, len(sample.generators))
+    letters = tuple(x for i in indices for x in sample.generators[i - 1].letters)
+    if letters != sample.sentence.letters:
+        raise ValueError(
+            f"the sentence is not the product of generators {list(indices)}"
+        )
+    prefix = [(0, ())]
+    for i in indices:
+        prefix.append(kernels.multiply_nf(code, n, *prefix[-1], *gen_nfs[i - 1]))
+    return prefix
 
 
 def _sentence_length(sample: ExperimentSample) -> int:
@@ -197,20 +226,25 @@ def ranked_positions(scores: Sequence[int], rng: random.Random) -> tuple[int, ..
 def rank_generators(
     sample: ExperimentSample, metric: LengthMetric, rng: random.Random
 ) -> tuple[int, ...]:
-    """Positions of all signed generators under the metric scores."""
-    sentence = to_metric_structure(sample.sentence, metric)
+    """Positions of all signed generators under the metric scores.
+
+    X is built from the generators' forms as in :func:`compute_cor`, with
+    the factor count derived from the letter counts, and the same
+    ``ValueError`` for a sentence that is not the generators' product.
+    """
     generators = [to_metric_structure(g, metric) for g in sample.generators]
-    structure = sentence.structure
+    structure = generators[0].structure
     code, n = structure.kind_code, structure.strand_count
-    target = sentence.raw_nf()
+    gen_nfs = [g.raw_nf() for g in generators]
+    target = _sentence_prefixes(sample, code, n, gen_nfs, None)[-1]
+    pick = 1 if metric.rational else 0  # nf_lengths gives (greedy, rational)
     scores = []
-    for g in range(2 * len(generators)):
+    for g in range(2 * len(gen_nfs)):
         j, sign = signed_generator(g)
-        nf = generators[j - 1].raw_nf()
+        nf = gen_nfs[j - 1]
         peel = kernels.invert_nf(code, n, *nf) if sign > 0 else nf
         peeled = kernels.multiply_nf(code, n, *peel, *target)
-        greedy, rational = kernels.nf_lengths(code, n, *peeled)
-        scores.append(rational if metric.rational else greedy)
+        scores.append(kernels.nf_lengths(code, n, *peeled)[pick])
     return ranked_positions(scores, rng)
 
 

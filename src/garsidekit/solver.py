@@ -163,13 +163,12 @@ def memory_length_search(
     structure = c.structure
     code, n = structure.kind_code, structure.strand_count
 
-    def score_of(nf) -> int:
-        greedy, rational = kernels.nf_lengths(code, n, nf[0], nf[1])
-        return rational if metric.rational else greedy
+    pick = 1 if metric.rational else 0  # nf_lengths gives (greedy, rational)
 
     target_nf = c.raw_nf()
     if cfg.n == 0:
-        seq = ScoredSequence((), score_of(target_nf), _nf_from_raw(structure, *target_nf))
+        score = kernels.nf_lengths(code, n, *target_nf)[pick]
+        seq = ScoredSequence((), score, _nf_from_raw(structure, *target_nf))
         return SearchOutcome((seq,), 0)
 
     # Peeling move (j, sign) multiplies by gens[j-1] ** -sign on the left.
@@ -190,7 +189,8 @@ def memory_length_search(
                 for sign in (1, -1):
                     ext = kernels.multiply_nf(code, n, *peel_nfs[j - 1][sign], *nf)
                     evaluations += 1
-                    extensions.append((score_of(ext), moves + ((j, sign),), ext))
+                    score = kernels.nf_lengths(code, n, *ext)[pick]
+                    extensions.append((score, moves + ((j, sign),), ext))
         extensions.sort(key=lambda entry: entry[0])
         beam = extensions[: cfg.memory]
     sequences = tuple(

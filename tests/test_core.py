@@ -1,6 +1,8 @@
 """Core types and generic operations: worked values and invariants."""
 
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -215,6 +217,44 @@ class TestRationalNF:
             if nf.neg_factors and nf.pos_factors:
                 assert meet(nf.neg_factors[0], nf.pos_factors[0]).is_identity()
             assert equals(recompose(nf), w)
+
+
+class TestStoredNormalForm:
+    """A word normalizes once and keeps the form out of its value."""
+
+    def test_second_call_returns_the_stored_form(self, b3, monkeypatch):
+        w = parse_word("s1 s2^-1 s1 s1", b3)
+        first = w.raw_nf()
+
+        def renormalized(*args):
+            raise AssertionError("word_to_nf called again")
+
+        monkeypatch.setattr(kernels, "word_to_nf", renormalized)
+        assert w.raw_nf() is first
+        assert greedy_nf(w).raw() == first
+        assert equals(w, w)
+
+    def test_stored_form_leaves_equality_hash_and_repr(self, b3):
+        w = parse_word("s1 s2 s1^-1", b3)
+        fresh = b3.word(w.letters)
+        w.raw_nf()
+        assert w == fresh and fresh == w
+        assert hash(w) == hash(fresh)
+        assert repr(w) == repr(fresh)
+
+    @pytest.mark.parametrize("make", [artin_structure, bkl_structure])
+    def test_pickle_and_replace_keep_correct_forms(self, make, rng):
+        structure = make(4)
+        code, n = structure.kind_code, structure.strand_count
+        for _ in range(10):
+            w = random_word(rng, structure, 12)
+            w.raw_nf()
+            clone = pickle.loads(pickle.dumps(w))
+            assert clone == w
+            assert clone.raw_nf() == kernels.word_to_nf(code, n, w.letters)
+            other = random_word(rng, structure, 12)
+            moved = dataclasses.replace(w, letters=other.letters)
+            assert moved.raw_nf() == kernels.word_to_nf(code, n, other.letters)
 
 
 class TestEqualsRecompose:

@@ -1,15 +1,19 @@
 """Experiment harness: sampling contracts, ranking, determinism, outputs."""
 
+import collections
 import dataclasses
 import math
 
 import pytest
 
+from garsidekit import kernels
 from garsidekit.artin import artin_structure
 from garsidekit.core import equals
 from garsidekit.experiments import (
     ExperimentConfig,
+    ExperimentResult,
     ExperimentSample,
+    _sample_positions,
     best_cor_position,
     child_rng,
     compare_metrics,
@@ -98,7 +102,10 @@ class TestComputeCor:
         assert compute_cor(sample) == {1}
 
     def test_matches_naive_equality(self):
-        cfg = tiny_config(sl=4, ng=3, wl=2)
+        for sl in (2, 4, 5):
+            self._check_naive_equality(tiny_config(sl=sl, ng=3, wl=2))
+
+    def _check_naive_equality(self, cfg):
         for index in range(5):
             sample = gen_sample(cfg, index)
             indices = sentence_indices(cfg.sl, cfg.ng)
@@ -117,6 +124,21 @@ class TestComputeCor:
                     naive.add(i)
             assert compute_cor(sample) == naive
 
+    def test_malformed_sentence_raises(self):
+        cfg = tiny_config(sl=3, wl=3)
+        sample = gen_sample(cfg, 0)
+        a1, a2, a3 = sample.generators
+        assert a1.letters != a2.letters
+        rng = child_rng(cfg.seed, "rank", 0)
+        for sentence in (a2 * a1 * a3, a1 * a2 * a3.inverse(), a1 * a2 * a3 * a3):
+            bad = ExperimentSample(sample.generators, sentence)
+            with pytest.raises(ValueError):
+                compute_cor(bad)
+            with pytest.raises(ValueError):
+                rank_generators(bad, cfg.metric, rng)
+        with pytest.raises(ValueError):
+            compute_cor(sample, sentence_length=2)
+
 
 class TestRanking:
     def test_two_signed_copies_occupy_both_positions(self):
@@ -127,7 +149,10 @@ class TestRanking:
         assert sorted(positions) == [1, 2]
 
     def test_scores_drive_order(self):
-        cfg = tiny_config(ng=2, sl=2, wl=4)
+        for sl in (2, 5):
+            self._check_scores_drive_order(tiny_config(ng=2, sl=sl, wl=4))
+
+    def _check_scores_drive_order(self, cfg):
         sample = gen_sample(cfg, 3)
         rng = child_rng(cfg.seed, "rank", 3)
         positions = rank_generators(sample, cfg.metric, rng)
@@ -160,6 +185,24 @@ class TestRanking:
         assert best_cor_position(positions, {1}) == 5
 
 
+class TestWorkPerSample:
+    def test_each_generator_normalized_once_per_structure(self, monkeypatch):
+        cfg = tiny_config(ns=5, ng=4, sl=6, wl=3)
+        kinds = collections.Counter()
+        word_to_nf = kernels.word_to_nf
+
+        def counting(kind, n, letters):
+            kinds[kind] += 1
+            return word_to_nf(kind, n, letters)
+
+        monkeypatch.setattr(kernels, "word_to_nf", counting)
+        metrics = (LengthMetric.RATIONAL_ARTIN, LengthMetric.RATIONAL_BKL)
+        for index in range(3):
+            kinds.clear()
+            _sample_positions(cfg, index, metrics)
+            assert kinds == {kernels.KIND_ARTIN: cfg.ng, kernels.KIND_BKL: cfg.ng}
+
+
 class TestRunExperiment:
     def test_single_sample(self):
         cfg = tiny_config(samples=1)
@@ -183,6 +226,10 @@ class TestRunExperiment:
         threaded = run_experiment(cfg, workers=3, use_threads=True)
         assert sequential == threaded
         assert sequential == run_experiment(cfg)
+
+    def test_result_rejects_miscounted_histogram(self):
+        with pytest.raises(ValueError):
+            ExperimentResult(histogram=(1, 2), samples=4)
 
     def test_json_round_trip(self):
         cfg = tiny_config()
@@ -215,8 +262,6 @@ class TestCompareMetrics:
 
 class TestOutputs:
     def test_csv_golden_rows(self, tmp_path):
-        from garsidekit.experiments import ExperimentResult
-
         result = ExperimentResult(histogram=(3, 1), samples=4)
         path = tmp_path / "out.csv"
         write_csv(result, str(path))
