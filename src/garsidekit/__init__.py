@@ -11,16 +11,9 @@ The hot kernels run on a compiled backend when available; see
 ``garsidekit.kernels.BACKEND`` and ``python -m garsidekit.benchmarks``.
 """
 
-from .artin import (
-    artin_left_divides,
-    artin_simple_length,
-    artin_structure,
-    artin_word,
-)
+from .artin import artin_structure, artin_word
 from .bkl import (
     artin_to_bkl,
-    bkl_left_divides,
-    bkl_simple_length,
     bkl_structure,
     bkl_to_artin,
     bkl_validate,
@@ -37,6 +30,7 @@ from .core import (
     equals,
     greedy_nf,
     join,
+    left_divides,
     local_slide,
     meet,
     quotient_simple,

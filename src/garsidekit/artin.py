@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 
-from . import kernels
-from .core import ARTIN, BraidWord, SimpleElement, StructureDescriptor
+from .core import ARTIN, BraidWord, StructureDescriptor
 from .errors import StructureMismatch
 
 
@@ -47,20 +46,6 @@ def artin_word(n: int, letters: list[tuple[int, int]]) -> BraidWord:
     """Braid word from 1-based generator indices with signs."""
     structure = artin_structure(n)
     return structure.word((artin_atom_id(structure, i), s) for i, s in letters)
-
-
-def artin_simple_length(s: SimpleElement) -> int:
-    """Number of crossings: the atom count of any positive word for s."""
-    _check_artin(s.structure)
-    return kernels.simple_len(kernels.KIND_ARTIN, s.data)
-
-
-def artin_left_divides(s: SimpleElement, t: SimpleElement) -> bool:
-    """Divisibility in the weak order: crossing-set containment."""
-    _check_artin(s.structure)
-    if s.structure != t.structure:
-        raise StructureMismatch("operands from different structures")
-    return kernels.left_divides(kernels.KIND_ARTIN, s.data, t.data)
 
 
 def _check_artin(structure: StructureDescriptor):

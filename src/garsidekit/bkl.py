@@ -80,20 +80,6 @@ def bkl_validate(structure: StructureDescriptor, blocks: Sequence[Sequence[int]]
     return SimpleElement(structure, data)
 
 
-def bkl_simple_length(s: SimpleElement) -> int:
-    """Strand count minus block count: atoms in any positive word for s."""
-    _check_bkl(s.structure)
-    return kernels.simple_len(kernels.KIND_BKL, s.data)
-
-
-def bkl_left_divides(s: SimpleElement, t: SimpleElement) -> bool:
-    """Divisibility is refinement of the underlying partitions."""
-    _check_bkl(s.structure)
-    if s.structure != t.structure:
-        raise StructureMismatch("operands from different structures")
-    return kernels.left_divides(kernels.KIND_BKL, s.data, t.data)
-
-
 # ---------------------------------------------------------------------------
 # Translation between the two atom alphabets
 

@@ -83,7 +83,6 @@ def _cmd_solve(args) -> int:
         memory=args.memory,
         metric=LengthMetric.from_name(args.metric),
         cutoffs=cutoffs,
-        seed=args.seed,
     )
     try:
         if args.n_max is not None:
@@ -174,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--memory", "-M", type=int, default=64)
     solve.add_argument("--metric", choices=METRIC_NAMES, default="rational-bkl")
     solve.add_argument("--cutoffs", default=None, help="comma-separated per-variable")
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--timeout", type=float, default=None, help="seconds")
     solve.set_defaults(func=_cmd_solve)
 

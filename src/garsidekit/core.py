@@ -24,6 +24,8 @@ BKL = "bkl"
 _KIND_CODES = {ARTIN: kernels.KIND_ARTIN, BKL: kernels.KIND_BKL}
 
 SIMPLE_CLOSURE_MAX_STRANDS = 8
+# A simple is a permutation of range(n) stored as bytes.
+MAX_STRANDS = 256
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -41,8 +43,12 @@ class StructureDescriptor:
     tau_atom_table: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.kind in _KIND_CODES
-        assert self.strand_count >= 2
+        if self.kind not in _KIND_CODES:
+            raise ValueError(f"unknown structure kind {self.kind!r}")
+        if not 2 <= self.strand_count <= MAX_STRANDS:
+            raise ValueError(
+                f"strand count {self.strand_count} outside 2..{MAX_STRANDS}"
+            )
 
     @property
     def kind_code(self) -> int:
@@ -111,7 +117,10 @@ class SimpleElement:
     data: bytes
 
     def __post_init__(self):
-        assert len(self.data) == self.structure.strand_count
+        if len(self.data) != self.structure.strand_count:
+            raise ValueError(
+                f"{len(self.data)} bytes for {self.structure.strand_count} strands"
+            )
 
     @property
     def one_line(self) -> tuple[int, ...]:
@@ -170,8 +179,10 @@ class BraidWord:
 
     def __post_init__(self):
         for atom, sign in self.letters:
-            assert 0 <= atom < self.structure.atom_count, f"bad atom {atom}"
-            assert sign in (1, -1), f"bad sign {sign}"
+            if not 0 <= atom < self.structure.atom_count:
+                raise ValueError(f"bad atom {atom}")
+            if sign not in (1, -1):
+                raise ValueError(f"bad sign {sign}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -215,9 +226,11 @@ class GreedyNF:
     def __post_init__(self):
         code = self.structure.kind_code
         for f in self.factors:
-            assert not f.is_identity() and not f.is_delta()
+            if f.is_identity() or f.is_delta():
+                raise ValueError(f"trivial or delta factor {f!r}")
         for a, b in zip(self.factors, self.factors[1:]):
-            assert kernels.is_left_weighted(code, a.data, b.data)
+            if not kernels.is_left_weighted(code, a.data, b.data):
+                raise ValueError(f"factors {a!r}, {b!r} are not left-weighted")
 
     @property
     def canonical_length(self) -> int:
@@ -241,10 +254,12 @@ class RationalNF:
     def __post_init__(self):
         code = self.structure.kind_code
         for f in self.neg_factors + self.pos_factors:
-            assert not f.is_identity()
+            if f.is_identity():
+                raise ValueError("trivial factor")
         for part in (self.neg_factors, self.pos_factors):
             for a, b in zip(part, part[1:]):
-                assert kernels.is_left_weighted(code, a.data, b.data)
+                if not kernels.is_left_weighted(code, a.data, b.data):
+                    raise ValueError(f"factors {a!r}, {b!r} are not left-weighted")
 
     def atom_length(self) -> int:
         return sum(f.atom_length() for f in self.neg_factors) + sum(
@@ -284,7 +299,11 @@ def complement(s: SimpleElement, side: str = "right") -> SimpleElement:
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
-def left_divides_simple(s: SimpleElement, t: SimpleElement) -> bool:
+def left_divides(s: SimpleElement, t: SimpleElement) -> bool:
+    """Whether ``s * q = t`` for some simple ``q``.
+
+    Artin: crossing-set containment; BKL: partition refinement.
+    """
     structure = _check_same_structure(s, t)
     return kernels.left_divides(structure.kind_code, s.data, t.data)
 

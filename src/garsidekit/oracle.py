@@ -1,12 +1,16 @@
 """Brute-force geodesic lengths by breadth-first search.
 
-The search walks the Cayley graph over the signed atoms, deduplicating
-states by greedy normal form. States are packed into single ``bytes``
-blobs (signed 16-bit delta power followed by the factor permutations), so
-a million-element ball stays within desk memory. Radius and node-count
-guards abort cleanly instead of thrashing; exact geodesics at useful radii
-are only feasible for a handful of strands, and nothing here pretends to
-scale past that.
+One search core serves both entry points: ``enumerate_ball`` keeps every
+state it reaches, and ``geodesic_length`` stops at the first node that is
+its target. The core walks the Cayley graph over the signed atoms level by
+level, deduplicating states by greedy normal form. States are packed into
+single ``bytes`` blobs (signed 16-bit delta power followed by the factor
+permutations), and the record of visited states is the ball's own table,
+so a million-element ball stays within desk memory. The core owns every
+guard: a negative radius raises ``ValueError``, and the radius and
+node-count guards raise :class:`GuardExceeded` instead of thrashing. Exact
+geodesics at useful radii are only feasible for a handful of strands, and
+nothing here pretends to scale past that.
 """
 
 from __future__ import annotations
@@ -67,7 +71,11 @@ class BallIndex:
         return len(self.table)
 
     def lookup_raw(self, k: int, factors: tuple[bytes, ...]) -> int | None:
-        return self.table.get(pack_nf(k, factors))
+        try:
+            blob = pack_nf(k, factors)
+        except OverflowError:  # a 16-bit delta power is beyond every radius
+            return None
+        return self.table.get(blob)
 
     def lookup(self, x: BraidWord | GreedyNF) -> int | None:
         """Geodesic length of an element, or None outside the ball."""
@@ -88,23 +96,31 @@ class BallIndex:
             yield unpack_nf(blob, n), dist
 
 
-def enumerate_ball(
+def _bfs(
     structure: StructureDescriptor,
     radius: int,
-    max_nodes: int = MAX_NODES,
-    ignore_radius_guard: bool = False,
-) -> BallIndex:
-    """BFS ball of the given radius around the identity."""
+    max_nodes: int,
+    target: bytes | None = None,
+) -> tuple[dict[bytes, int], int | None]:
+    """Breadth-first search from the identity, level by level.
+
+    Returns the packed states reached with their distances, and the level
+    at which ``target`` was first generated (None if it never was). The
+    search stops at that node, without finishing its level.
+    """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if not ignore_radius_guard and radius > radius_guard(structure):
+    guard = radius_guard(structure)
+    if radius > guard:
         raise GuardExceeded(
-            f"radius {radius} exceeds the guard "
-            f"{radius_guard(structure)} for {structure!r}"
+            f"radius {radius} exceeds the guard {guard} for {structure!r}"
         )
     code, n = structure.kind_code, structure.strand_count
+    origin = pack_nf(0, ())
+    table: dict[bytes, int] = {origin: 0}
+    if target == origin:
+        return table, 0
     moves = _signed_atom_nfs(structure)
-    table: dict[bytes, int] = {pack_nf(0, ()): 0}
     frontier: list[RawNF] = [(0, ())]
     for level in range(1, radius + 1):
         next_frontier: list[RawNF] = []
@@ -113,56 +129,37 @@ def enumerate_ball(
                 nk, nf = kernels.multiply_nf(code, n, k, factors, mk, mf)
                 blob = pack_nf(nk, nf)
                 if blob not in table:
+                    if blob == target:
+                        return table, level
                     table[blob] = level
                     next_frontier.append((nk, nf))
             if len(table) > max_nodes:
                 raise GuardExceeded(
-                    f"ball exceeded {max_nodes} nodes at radius {level}"
+                    f"search exceeded {max_nodes} nodes at radius {level}"
                 )
         frontier = next_frontier
+    return table, None
+
+
+def enumerate_ball(
+    structure: StructureDescriptor, radius: int, max_nodes: int = MAX_NODES
+) -> BallIndex:
+    """BFS ball of the given radius around the identity."""
+    table, _ = _bfs(structure, radius, max_nodes)
     return BallIndex(structure=structure, radius=radius, table=table)
 
 
 def geodesic_length(
-    x: BraidWord,
-    max_radius: int | None = None,
-    max_nodes: int = MAX_NODES,
-    ignore_radius_guard: bool = False,
+    x: BraidWord, max_radius: int | None = None, max_nodes: int = MAX_NODES
 ) -> int:
     """Exact minimal letter count of ``x`` over the signed atoms.
 
     Searches outward level by level and stops as soon as the target's
     normal form appears; raises :class:`NotFound` if the ball of
-    ``max_radius`` does not contain it.
+    ``max_radius`` (default: the radius guard) does not contain it.
     """
-    structure = x.structure
-    guard = radius_guard(structure)
-    if max_radius is None:
-        max_radius = guard
-    elif max_radius > guard and not ignore_radius_guard:
-        raise GuardExceeded(f"max_radius {max_radius} exceeds the guard {guard}")
-    code, n = structure.kind_code, structure.strand_count
-    target = pack_nf(*x.raw_nf())
-    if target == pack_nf(0, ()):
-        return 0
-    moves = _signed_atom_nfs(structure)
-    seen: set[bytes] = {pack_nf(0, ())}
-    frontier: list[RawNF] = [(0, ())]
-    for level in range(1, max_radius + 1):
-        next_frontier: list[RawNF] = []
-        for k, factors in frontier:
-            for mk, mf in moves:
-                nk, nf = kernels.multiply_nf(code, n, k, factors, mk, mf)
-                blob = pack_nf(nk, nf)
-                if blob in seen:
-                    continue
-                if blob == target:
-                    return level
-                seen.add(blob)
-                next_frontier.append((nk, nf))
-            if len(seen) > max_nodes:
-                raise GuardExceeded(
-                    f"search exceeded {max_nodes} nodes at radius {level}"
-                )
-        frontier = next_frontier
-    raise NotFound(f"no representative within {max_radius} letters")
+    radius = radius_guard(x.structure) if max_radius is None else max_radius
+    _, level = _bfs(x.structure, radius, max_nodes, pack_nf(*x.raw_nf()))
+    if level is None:
+        raise NotFound(f"no representative within {radius} letters")
+    return level

@@ -9,8 +9,7 @@ is an exact expression. Candidate sequences are then verified by the exact
 word problem, so the solver never returns a wrong assignment; exhausting
 the search proves nothing.
 
-Everything is deterministic: score ties are broken by insertion order, and
-the seed recorded in the configuration only names the run.
+Everything is deterministic: score ties are broken by insertion order.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ class SolverConfig:
     memory: int
     metric: LengthMetric
     cutoffs: tuple[int, ...] | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 0 or self.memory < 1:

@@ -97,7 +97,7 @@ def oracle_corpus(artin3_ball, artin4_ball):
 def _solver_batch():
     """100 planted membership instances; returns per-instance CSV rows."""
     structure = artin_structure(8)
-    cfg = SolverConfig(n=4, memory=64, metric=LengthMetric.RATIONAL_BKL, seed=SEED)
+    cfg = SolverConfig(n=4, memory=64, metric=LengthMetric.RATIONAL_BKL)
     bound = evaluation_bound(4, 8, 64)
     rows = ["instance,success,evaluations,best_score"]
     successes = 0

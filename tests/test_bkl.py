@@ -9,15 +9,13 @@ from garsidekit import kernels
 from garsidekit.artin import artin_structure
 from garsidekit.bkl import (
     artin_to_bkl,
-    bkl_left_divides,
-    bkl_simple_length,
     bkl_structure,
     bkl_to_artin,
     bkl_validate,
     bkl_word,
 )
-from garsidekit.core import SimpleElement, enumerate_simples, equals, meet
-from garsidekit.errors import CrossingPartition, StructureMismatch
+from garsidekit.core import SimpleElement, enumerate_simples, equals, left_divides, meet
+from garsidekit.errors import CrossingPartition
 from garsidekit.lengths import positive_length
 from garsidekit.syntax import format_word, parse_word
 from conftest import random_word
@@ -88,23 +86,19 @@ class TestLengthAndDivisibility:
     def test_length_examples(self):
         for n in (3, 4, 5):
             s = bkl_structure(n)
-            assert bkl_simple_length(s.identity_simple) == 0
-            assert bkl_simple_length(s.delta) == n - 1
+            assert s.identity_simple.atom_length() == 0
+            assert s.delta.atom_length() == n - 1
             for atom in s.atoms():
-                assert bkl_simple_length(atom) == 1
-
-    def test_wrong_structure(self):
-        with pytest.raises(StructureMismatch):
-            bkl_simple_length(artin_structure(3).delta)
+                assert atom.atom_length() == 1
 
     def test_divisibility_examples(self):
         s = bkl_structure(3)
         a21 = s.atom_simple(0)
-        assert bkl_left_divides(s.identity_simple, s.delta)
-        assert bkl_left_divides(a21, s.delta)
+        assert left_divides(s.identity_simple, s.delta)
+        assert left_divides(a21, s.delta)
         two_one = bkl_validate(s, [[1, 2], [3]])
-        assert bkl_left_divides(two_one, bkl_validate(s, [[1, 2, 3]]))
-        assert not bkl_left_divides(
+        assert left_divides(two_one, bkl_validate(s, [[1, 2, 3]]))
+        assert not left_divides(
             bkl_validate(s, [[1, 3], [2]]), bkl_validate(s, [[1, 2], [3]])
         )
 
@@ -113,7 +107,7 @@ class TestLengthAndDivisibility:
         structure = bkl_structure(n)
         for s, t in itertools.product(brute.all_simples(1, n), repeat=2):
             expected = brute.divides(1, s, t)
-            got = bkl_left_divides(
+            got = left_divides(
                 SimpleElement(structure, bytes(s)),
                 SimpleElement(structure, bytes(t)),
             )
@@ -123,7 +117,7 @@ class TestLengthAndDivisibility:
         b5 = bkl_structure(5)
         simples = list(enumerate_simples(b5))
         for s, t in itertools.product(simples, repeat=2):
-            assert bkl_left_divides(s, t) == (meet(s, t) == s)
+            assert left_divides(s, t) == (meet(s, t) == s)
 
 
 class TestTranslations:
@@ -175,7 +169,7 @@ class TestTranslations:
         structure = bkl_structure(4)
         for s in enumerate_simples(structure):
             band = s.atom_word()
-            assert positive_length(band) == bkl_simple_length(s)
+            assert positive_length(band) == s.atom_length()
             translated = bkl_to_artin(band)
             k, factors = translated.raw_nf()
             perm = kernels.identity_perm(4)

@@ -2,21 +2,31 @@
 
 import dataclasses
 import itertools
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from conftest import random_word
+import garsidekit
 from garsidekit import kernels
 from garsidekit.artin import artin_structure
 from garsidekit.bkl import bkl_structure
 from garsidekit.core import (
+    BraidWord,
     GreedyNF,
+    RationalNF,
+    SimpleElement,
+    StructureDescriptor,
     complement,
     enumerate_simples,
     equals,
     greedy_nf,
     join,
+    left_divides,
     local_slide,
     meet,
     quotient_simple,
@@ -43,8 +53,6 @@ def simple_of(structure, text):
     if k == 0 and not factors:
         return structure.identity_simple
     assert k == 0 and len(factors) == 1, text
-    from garsidekit.core import SimpleElement
-
     return SimpleElement(structure, factors[0])
 
 
@@ -67,6 +75,11 @@ class TestLatticeOps:
         other = artin_structure(4)
         with pytest.raises(StructureMismatch):
             meet(b3.atom_simple(0), other.atom_simple(0))
+
+    def test_left_divides_structure_mismatch(self, b3):
+        for other in (artin_structure(4), bkl_structure(3)):
+            with pytest.raises(StructureMismatch):
+                left_divides(b3.identity_simple, other.delta)
 
     def test_complement_examples(self, b3):
         assert complement(b3.identity_simple, "right") == b3.delta
@@ -338,3 +351,72 @@ class TestSimpleClosure:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             simple_closure(artin_structure(9))
+
+
+class TestConstructionChecks:
+    """Malformed values raise ValueError when built, also under ``python -O``."""
+
+    def test_bad_letters(self, b3):
+        for letters in (((7, 1), (0, 5)), ((2, 1),), ((-1, 1),), ((0, 5),), ((0, 0),)):
+            with pytest.raises(ValueError):
+                BraidWord(b3, letters)
+
+    def test_bad_simple(self, b3):
+        for data in (b"", b"\x00\x01", bytes(range(4))):
+            with pytest.raises(ValueError):
+                SimpleElement(b3, data)
+
+    def test_bad_structure(self):
+        with pytest.raises(ValueError):
+            StructureDescriptor("garside", 3, 2, 3, (1, 0))
+        with pytest.raises(ValueError):
+            StructureDescriptor("artin", 1, 0, 0, ())
+        for make in (artin_structure, bkl_structure):
+            with pytest.raises(ValueError):
+                make(257)
+
+    def test_largest_strand_count(self):
+        # The byte representation holds permutations of up to 256 strands.
+        structure = artin_structure(256)
+        assert structure.delta.atom_length() == 256 * 255 // 2
+
+    def test_bad_normal_form_factors(self, b3):
+        s1, s2 = b3.atoms()
+        assert not kernels.is_left_weighted(b3.kind_code, s1.data, s2.data)
+        GreedyNF(b3, 0, (s1, s1))
+        for factors in ((b3.identity_simple,), (b3.delta,), (s1, s2)):
+            with pytest.raises(ValueError):
+                GreedyNF(b3, 0, factors)
+        RationalNF(b3, (s1,), (b3.delta,))
+        for neg, pos in (((b3.identity_simple,), ()), ((), (s1, s2)), ((s1, s2), ())):
+            with pytest.raises(ValueError):
+                RationalNF(b3, neg, pos)
+
+    def test_checks_survive_optimize(self):
+        script = textwrap.dedent(
+            r"""
+            from garsidekit.artin import artin_structure
+            from garsidekit.core import BraidWord, SimpleElement
+
+            if __debug__:
+                raise SystemExit("asserts are on")
+            b3 = artin_structure(3)
+            for make in (
+                lambda: BraidWord(b3, ((7, 1), (0, 5))),
+                lambda: SimpleElement(b3, b"\x00"),
+            ):
+                try:
+                    make()
+                except ValueError:
+                    print("ValueError")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(garsidekit.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ValueError", "ValueError"]

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_word
 from garsidekit.artin import artin_structure
 from garsidekit.bkl import bkl_structure
-from garsidekit.core import greedy_nf
+from garsidekit.core import greedy_nf, recompose
 from garsidekit.errors import GuardExceeded, NotFound
 from garsidekit.lengths import positive_length
 from garsidekit.oracle import BallIndex, enumerate_ball, geodesic_length
@@ -38,6 +38,14 @@ class TestGeodesicLength:
     def test_node_guard(self, b3):
         with pytest.raises(GuardExceeded):
             enumerate_ball(b3, 8, max_nodes=50)
+        with pytest.raises(GuardExceeded):
+            geodesic_length(parse_word("s1 s2 s1", b3) ** 2, max_nodes=50)
+
+    def test_negative_radius(self, b3):
+        with pytest.raises(ValueError):
+            enumerate_ball(b3, -1)
+        with pytest.raises(ValueError):
+            geodesic_length(b3.word(), max_radius=-1)
 
 
 class TestBall:
@@ -62,6 +70,11 @@ class TestBall:
         assert ball.lookup(greedy_nf(w)) == 2
         assert ball.lookup(parse_word("s1 s2 s1", b3) ** 3) is None
 
+    def test_lookup_raw_outside_16_bit_delta_power(self, b3):
+        ball = enumerate_ball(b3, 2)
+        for k in (1 << 15, -(1 << 15) - 1):
+            assert ball.lookup_raw(k, ()) is None
+
     def test_items_round_trip(self, b3):
         ball = enumerate_ball(b3, 3)
         seen = 0
@@ -70,6 +83,29 @@ class TestBall:
             assert ball.lookup(nf) == dist
             seen += 1
         assert seen == len(ball)
+
+
+class TestExactness:
+    @pytest.mark.parametrize(
+        "make,n,radius",
+        [
+            (artin_structure, 3, 6),
+            (bkl_structure, 3, 6),
+            (artin_structure, 4, 6),
+            (bkl_structure, 4, 4),
+        ],
+    )
+    def test_geodesic_length_matches_ball(self, make, n, radius, rng):
+        """Both entry points agree on sampled nodes of every sphere."""
+        structure = make(n)
+        ball = enumerate_ball(structure, radius)
+        spheres = [[] for _ in range(radius + 1)]
+        for nf, dist in ball.items():
+            spheres[dist].append(nf)
+        assert all(spheres)
+        for dist, sphere in enumerate(spheres):
+            for nf in rng.sample(sphere, min(4, len(sphere))):
+                assert geodesic_length(recompose(nf), max_radius=radius) == dist
 
 
 class TestOracleProperties:
