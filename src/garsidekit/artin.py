@@ -19,17 +19,7 @@ from .errors import StructureMismatch
 @functools.cache
 def artin_structure(n: int) -> StructureDescriptor:
     """The classical Garside structure: delta is the half twist."""
-    if n < 2:
-        raise ValueError("the braid group needs at least 2 strands")
-    # Conjugation by the half twist reflects the strand indices.
-    tau_table = tuple(n - 2 - i for i in range(n - 1))
-    return StructureDescriptor(
-        kind=ARTIN,
-        strand_count=n,
-        atom_count=n - 1,
-        delta_atom_length=n * (n - 1) // 2,
-        tau_atom_table=tau_table,
-    )
+    return StructureDescriptor(ARTIN, n)
 
 
 def artin_atom_id(structure: StructureDescriptor, i: int) -> int:

@@ -21,23 +21,7 @@ from .artin import artin_structure
 @functools.cache
 def bkl_structure(n: int) -> StructureDescriptor:
     """The dual Garside structure: delta is the descending cycle product."""
-    if n < 2:
-        raise ValueError("the braid group needs at least 2 strands")
-    # Conjugation by delta rotates strand labels by one.
-    tau_table = []
-    for a in range(n * (n - 1) // 2):
-        t, s = kernels.bkl_atom_pair(a)
-        t2, s2 = (t + 1) % n, (s + 1) % n
-        if t2 < s2:
-            t2, s2 = s2, t2
-        tau_table.append(kernels.bkl_atom_index(t2, s2))
-    return StructureDescriptor(
-        kind=BKL,
-        strand_count=n,
-        atom_count=n * (n - 1) // 2,
-        delta_atom_length=n - 1,
-        tau_atom_table=tuple(tau_table),
-    )
+    return StructureDescriptor(BKL, n)
 
 
 def bkl_atom_id(structure: StructureDescriptor, t: int, s: int) -> int:

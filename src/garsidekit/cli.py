@@ -160,7 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exact geodesic length (brute force)")
     oracle.add_argument("--structure", choices=["artin", "bkl"], default="artin")
     oracle.add_argument("--strands", type=int, required=True)
-    oracle.add_argument("--max", type=int, default=None)
+    oracle.add_argument(
+        "--max",
+        type=int,
+        default=None,
+        help="search radius (default: min(letters, l_R), l_R the rational length)",
+    )
     oracle.add_argument("word", nargs="?", default="")
     oracle.set_defaults(func=_cmd_oracle)
 

@@ -32,23 +32,34 @@ MAX_STRANDS = 256
 class StructureDescriptor:
     """One of the two Garside structures on the braid group B_n.
 
-    ``tau_atom_table[a]`` is the atom index of the conjugate of atom ``a``
-    by the fundamental element.
+    Only ``kind`` and ``strand_count`` are given; the constants follow from
+    them. ``tau_atom_table[a]`` is the atom index of the conjugate of atom
+    ``a`` by the fundamental element.
     """
 
     kind: str
     strand_count: int
-    atom_count: int
-    delta_atom_length: int
-    tau_atom_table: tuple[int, ...]
+    atom_count: int = dataclasses.field(init=False)
+    delta_atom_length: int = dataclasses.field(init=False)
+    tau_atom_table: tuple[int, ...] = dataclasses.field(init=False)
 
     def __post_init__(self):
         if self.kind not in _KIND_CODES:
             raise ValueError(f"unknown structure kind {self.kind!r}")
-        if not 2 <= self.strand_count <= MAX_STRANDS:
-            raise ValueError(
-                f"strand count {self.strand_count} outside 2..{MAX_STRANDS}"
-            )
+        n = self.strand_count
+        if not 2 <= n <= MAX_STRANDS:
+            raise ValueError(f"strand count {n} outside 2..{MAX_STRANDS}")
+        code = _KIND_CODES[self.kind]
+        atoms = range(kernels.atom_count(code, n))
+        if self.kind == ARTIN:
+            # Conjugation by the half twist reflects the strand indices.
+            tau_table = tuple(n - 2 - a for a in atoms)
+        else:
+            # Conjugation by delta rotates strand labels by one.
+            tau_table = tuple(_rotate_band_atom(a, n) for a in atoms)
+        object.__setattr__(self, "atom_count", len(atoms))
+        object.__setattr__(self, "delta_atom_length", kernels.delta_len(code, n))
+        object.__setattr__(self, "tau_atom_table", tau_table)
 
     @property
     def kind_code(self) -> int:
@@ -94,6 +105,13 @@ class StructureDescriptor:
 
     def __repr__(self):
         return f"StructureDescriptor({self.kind!r}, n={self.strand_count})"
+
+
+def _rotate_band_atom(a: int, n: int) -> int:
+    """Index of the band atom with both strands of atom ``a`` moved up one."""
+    t, s = kernels.bkl_atom_pair(a)
+    t, s = (t + 1) % n, (s + 1) % n
+    return kernels.bkl_atom_index(max(t, s), min(t, s))
 
 
 def _check_same_structure(a, b) -> StructureDescriptor:

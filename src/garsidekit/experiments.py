@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from . import kernels
@@ -268,12 +268,10 @@ def _run_tasks(
     task: Callable[[int], tuple[int, ...]],
     count: int,
     workers: int,
-    use_threads: bool,
 ) -> list[tuple[int, ...]]:
     if workers <= 1:
         return [task(i) for i in range(count)]
-    pool_cls: type[Executor] = ThreadPoolExecutor if use_threads else ProcessPoolExecutor
-    with pool_cls(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, range(count), chunksize=max(count // (4 * workers), 1)))
 
 
@@ -295,13 +293,9 @@ def _histogram(best_positions: Iterable[int], ng: int, samples: int) -> Experime
     return ExperimentResult(tuple(counts), samples)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, workers: int = 1, use_threads: bool = False
-) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Accumulate the best-position histogram over all samples."""
-    rows = _run_tasks(
-        _PairTask(cfg, (cfg.metric,)), cfg.samples, workers, use_threads
-    )
+    rows = _run_tasks(_PairTask(cfg, (cfg.metric,)), cfg.samples, workers)
     return _histogram((row[0] for row in rows), cfg.ng, cfg.samples)
 
 
@@ -332,7 +326,6 @@ def compare_metrics(
     cfg_a: ExperimentConfig,
     cfg_b: ExperimentConfig,
     workers: int = 1,
-    use_threads: bool = False,
 ) -> MetricComparison:
     """Run both metrics on identical samples (identical seeds required)."""
     if dataclasses.replace(cfg_a, metric=cfg_b.metric) != cfg_b:
@@ -340,10 +333,7 @@ def compare_metrics(
             "comparison configs must agree on everything except the metric"
         )
     rows = _run_tasks(
-        _PairTask(cfg_a, (cfg_a.metric, cfg_b.metric)),
-        cfg_a.samples,
-        workers,
-        use_threads,
+        _PairTask(cfg_a, (cfg_a.metric, cfg_b.metric)), cfg_a.samples, workers
     )
     result_a = _histogram((row[0] for row in rows), cfg_a.ng, cfg_a.samples)
     result_b = _histogram((row[1] for row in rows), cfg_b.ng, cfg_b.samples)

@@ -5,12 +5,18 @@ state it reaches, and ``geodesic_length`` stops at the first node that is
 its target. The core walks the Cayley graph over the signed atoms level by
 level, deduplicating states by greedy normal form. States are packed into
 single ``bytes`` blobs (signed 16-bit delta power followed by the factor
-permutations), and the record of visited states is the ball's own table,
-so a million-element ball stays within desk memory. The core owns every
-guard: a negative radius raises ``ValueError``, and the radius and
-node-count guards raise :class:`GuardExceeded` instead of thrashing. Exact
-geodesics at useful radii are only feasible for a handful of strands, and
-nothing here pretends to scale past that.
+permutations), and the record of visited states is the ball's own table.
+
+Finding the geodesic length is NP-hard in general, so the search is
+exponential by nature and the one resource guard is the work it does: the
+core raises :class:`GuardExceeded` once it stores more than ``max_nodes``
+states (``MAX_NODES``: two million, a little over a gigabyte with the
+frontier). A negative radius raises ``ValueError``. Without an explicit
+radius, ``geodesic_length`` searches to ``min(len(x), l_R(x))``: the
+rational normal form written in atoms is a word of ``l_R`` letters, so the
+default search always reaches its target. Exact geodesics are only
+feasible for a handful of strands, and nothing here pretends to scale past
+that.
 """
 
 from __future__ import annotations
@@ -19,25 +25,12 @@ import dataclasses
 from collections.abc import Iterator
 
 from . import kernels
-from .core import ARTIN, BraidWord, GreedyNF, StructureDescriptor, _nf_from_raw
+from .core import BraidWord, GreedyNF, StructureDescriptor, _nf_from_raw
 from .errors import GuardExceeded, NotFound
 
-RADIUS_GUARDS = {
-    (ARTIN, 3): 10,
-    ("bkl", 3): 8,
-    (ARTIN, 4): 7,
-    ("bkl", 4): 7,
-}
-DEFAULT_RADIUS_GUARD = 6
-MAX_NODES = 6_000_000
+MAX_NODES = 2_000_000
 
 RawNF = tuple[int, tuple[bytes, ...]]
-
-
-def radius_guard(structure: StructureDescriptor) -> int:
-    return RADIUS_GUARDS.get(
-        (structure.kind, structure.strand_count), DEFAULT_RADIUS_GUARD
-    )
 
 
 def pack_nf(k: int, factors: tuple[bytes, ...]) -> bytes:
@@ -100,7 +93,7 @@ def _bfs(
     structure: StructureDescriptor,
     radius: int,
     max_nodes: int,
-    target: bytes | None = None,
+    target: RawNF | None = None,
 ) -> tuple[dict[bytes, int], int | None]:
     """Breadth-first search from the identity, level by level.
 
@@ -110,15 +103,23 @@ def _bfs(
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    guard = radius_guard(structure)
-    if radius > guard:
-        raise GuardExceeded(
-            f"radius {radius} exceeds the guard {guard} for {structure!r}"
-        )
+    goal = None
+    if target is not None:
+        k, factors = target
+        # Each signed atom moves the delta power by at most one, so the
+        # target lies at least |k| letters away.
+        if abs(k) > radius:
+            return {}, None
+        try:
+            goal = pack_nf(k, factors)
+        except OverflowError:
+            raise GuardExceeded(
+                f"delta power {k} does not fit the 16-bit state packing"
+            ) from None
     code, n = structure.kind_code, structure.strand_count
     origin = pack_nf(0, ())
     table: dict[bytes, int] = {origin: 0}
-    if target == origin:
+    if goal == origin:
         return table, 0
     moves = _signed_atom_nfs(structure)
     frontier: list[RawNF] = [(0, ())]
@@ -129,7 +130,7 @@ def _bfs(
                 nk, nf = kernels.multiply_nf(code, n, k, factors, mk, mf)
                 blob = pack_nf(nk, nf)
                 if blob not in table:
-                    if blob == target:
+                    if blob == goal:
                         return table, level
                     table[blob] = level
                     next_frontier.append((nk, nf))
@@ -155,11 +156,18 @@ def geodesic_length(
     """Exact minimal letter count of ``x`` over the signed atoms.
 
     Searches outward level by level and stops as soon as the target's
-    normal form appears; raises :class:`NotFound` if the ball of
-    ``max_radius`` (default: the radius guard) does not contain it.
+    normal form appears. The default radius ``min(len(x), l_R(x))`` bounds
+    the geodesic length, so only an explicit ``max_radius`` below it
+    raises :class:`NotFound`.
     """
-    radius = radius_guard(x.structure) if max_radius is None else max_radius
-    _, level = _bfs(x.structure, radius, max_nodes, pack_nf(*x.raw_nf()))
+    structure = x.structure
+    k, factors = x.raw_nf()
+    if max_radius is None:
+        _, ell_r = kernels.nf_lengths(
+            structure.kind_code, structure.strand_count, k, factors
+        )
+        max_radius = min(len(x), ell_r)
+    _, level = _bfs(structure, max_radius, max_nodes, (k, factors))
     if level is None:
-        raise NotFound(f"no representative within {radius} letters")
+        raise NotFound(f"no representative within {max_radius} letters")
     return level

@@ -138,13 +138,13 @@ def solver_batch():
     return _solver_batch()
 
 
-def _paired_experiment(wl, workers=1, use_threads=False):
+def _paired_experiment(wl, workers=1):
     cfg_b = ExperimentConfig(
         ns=16, wl=wl, ng=32, sl=16, samples=200,
         metric=LengthMetric.RATIONAL_BKL, seed=SEED,
     )
     cfg_a = dataclasses.replace(cfg_b, metric=LengthMetric.RATIONAL_ARTIN)
-    return compare_metrics(cfg_a, cfg_b, workers=workers, use_threads=use_threads)
+    return compare_metrics(cfg_a, cfg_b, workers=workers)
 
 
 @pytest.fixture(scope="module")
@@ -321,13 +321,11 @@ def test_criterion_10_determinism(tmp_path, solver_batch, experiment_runs):
     """Same seeds give bit-identical CSVs, sequentially and in parallel."""
     first = tmp_path / "exp_first.csv"
     again = tmp_path / "exp_again.csv"
-    threaded = tmp_path / "exp_threaded.csv"
+    pooled = tmp_path / "exp_pooled.csv"
     write_csv(experiment_runs[8].result_b, str(first))
     write_csv(_paired_experiment(8).result_b, str(again))
-    write_csv(
-        _paired_experiment(8, workers=4, use_threads=True).result_b, str(threaded)
-    )
-    assert first.read_bytes() == again.read_bytes() == threaded.read_bytes()
+    write_csv(_paired_experiment(8, workers=4).result_b, str(pooled))
+    assert first.read_bytes() == again.read_bytes() == pooled.read_bytes()
 
     rows_first, _ = solver_batch
     rows_again, _ = _solver_batch()

@@ -368,12 +368,27 @@ class TestConstructionChecks:
 
     def test_bad_structure(self):
         with pytest.raises(ValueError):
-            StructureDescriptor("garside", 3, 2, 3, (1, 0))
+            StructureDescriptor("garside", 3)
         with pytest.raises(ValueError):
-            StructureDescriptor("artin", 1, 0, 0, ())
+            StructureDescriptor("artin", 1)
         for make in (artin_structure, bkl_structure):
             with pytest.raises(ValueError):
                 make(257)
+
+    def test_constants_follow_kind_and_strands(self):
+        # Only kind and strand count are given, so no descriptor can claim
+        # atoms its structure lacks.
+        with pytest.raises(TypeError):
+            StructureDescriptor("artin", 3, 5, 3, (1, 0))
+        artin = StructureDescriptor("artin", 3)
+        assert artin == artin_structure(3)
+        assert (artin.atom_count, artin.delta_atom_length) == (2, 3)
+        assert artin.tau_atom_table == (1, 0)
+        with pytest.raises(ValueError):
+            artin.word([(4, 1)])
+        band = StructureDescriptor("bkl", 4)
+        assert (band.atom_count, band.delta_atom_length) == (6, 3)
+        assert band.tau_atom_table == (2, 4, 5, 0, 1, 3)
 
     def test_largest_strand_count(self):
         # The byte representation holds permutations of up to 256 strands.

@@ -223,8 +223,8 @@ class TestRunExperiment:
     def test_deterministic_and_schedule_independent(self):
         cfg = tiny_config()
         sequential = run_experiment(cfg)
-        threaded = run_experiment(cfg, workers=3, use_threads=True)
-        assert sequential == threaded
+        pooled = run_experiment(cfg, workers=3)
+        assert sequential == pooled
         assert sequential == run_experiment(cfg)
 
     def test_result_rejects_miscounted_histogram(self):
@@ -283,7 +283,7 @@ class TestOutputs:
         cfg = tiny_config()
         paths = []
         for i, workers in enumerate((1, 2)):
-            result = run_experiment(cfg, workers=workers, use_threads=True)
+            result = run_experiment(cfg, workers=workers)
             p = tmp_path / f"out{i}.csv"
             write_csv(result, str(p))
             paths.append(p.read_bytes())

@@ -3,11 +3,12 @@
 import pytest
 
 from conftest import random_word
+from garsidekit import kernels
 from garsidekit.artin import artin_structure
 from garsidekit.bkl import bkl_structure
 from garsidekit.core import greedy_nf, recompose
 from garsidekit.errors import GuardExceeded, NotFound
-from garsidekit.lengths import positive_length
+from garsidekit.lengths import positive_length, rational_length
 from garsidekit.oracle import BallIndex, enumerate_ball, geodesic_length
 from garsidekit.syntax import parse_word
 
@@ -31,9 +32,39 @@ class TestGeodesicLength:
         with pytest.raises(NotFound):
             geodesic_length(parse_word("s1 s2 s1", b3) ** 2, max_radius=2)
 
-    def test_radius_guard(self, b3):
-        with pytest.raises(GuardExceeded):
-            geodesic_length(b3.word(), max_radius=99)
+    def test_default_radius_reaches_long_words(self, b3):
+        # Twelve positive letters: the default radius is read off the word.
+        w = parse_word("s1 s2 s2 s1 s1 s2 s1 s1 s2 s2 s2 s1", b3)
+        assert geodesic_length(w) == 12
+
+    def test_band_b3_geodesic_is_rational(self, rng):
+        # The paper's theorem: in B_3 the rational band length is geodesic.
+        band = bkl_structure(3)
+        for _ in range(50):
+            w = random_word(rng, band, 10)
+            assert geodesic_length(w) == rational_length(w)
+
+    def test_infimum_exit_runs_no_search(self, b3, monkeypatch):
+        calls = []
+        multiply_nf = kernels.multiply_nf
+
+        def counting(*args):
+            calls.append(args)
+            return multiply_nf(*args)
+
+        monkeypatch.setattr(kernels, "multiply_nf", counting)
+        # Each signed atom moves the delta power by at most one.
+        with pytest.raises(NotFound):
+            geodesic_length(parse_word("s1 s2 s1", b3) ** 3, max_radius=2)
+        with pytest.raises(NotFound):
+            geodesic_length(artin_structure(2).word([(0, -1)] * 2**15), max_radius=10)
+        assert calls == []
+
+    def test_delta_power_outside_16_bits(self):
+        b2 = artin_structure(2)
+        for w in (b2.word([(0, 1)] * 2**15), b2.word([(0, -1)] * (2**15 + 1))):
+            with pytest.raises(GuardExceeded):
+                geodesic_length(w)
 
     def test_node_guard(self, b3):
         with pytest.raises(GuardExceeded):
@@ -114,8 +145,6 @@ class TestOracleProperties:
         structure = make(n)
         ball = enumerate_ball(structure, radius)
         for (k, f), dist in ball.raw_items():
-            from garsidekit import kernels
-
             ki, fi = kernels.invert_nf(structure.kind_code, n, k, f)
             assert ball.lookup_raw(ki, fi) == dist
 
