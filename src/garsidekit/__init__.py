@@ -8,7 +8,7 @@ distortion bounds, a memory-length beam solver for random equations, a
 brute-force geodesic oracle, and a reproducible experiment harness.
 
 The hot kernels run on a compiled backend when available; see
-``garsidekit.kernels.BACKEND`` and ``python -m garsidekit.benchmarks``.
+``garsidekit.kernels.BACKEND``.
 """
 
 from .artin import artin_structure, artin_word

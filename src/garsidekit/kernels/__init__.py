@@ -1,19 +1,38 @@
 """Kernel backend selection.
 
 The hot inner loops (factor-sequence normalization, lattice operations on
-simples) exist twice: a compiled Cython extension ``_speed`` and a pure
-Python twin ``_pure`` with identical semantics. The compiled backend is
-preferred when importable; set ``GARSIDEKIT_PURE=1`` to force the pure
-one (useful for debugging and for the backend benchmark).
+simples) exist twice: the C extension ``_speed`` and the pure Python twin
+``_pure``, which is the reference; both have identical semantics. The
+compiled backend is preferred when importable; set ``GARSIDEKIT_PURE=1`` to
+force the pure one (useful for debugging).
 
-All kernel functions are re-exported here, so the rest of the package
-imports ``from .kernels import ...`` and never cares which twin runs.
+This module is the one place that says which kernels are compiled: the
+names assigned from ``_impl`` below come from the selected backend, and
+everything imported from ``_pure`` always runs in Python. The rest of the
+package imports ``from .kernels import ...`` and never cares which twin
+runs.
 """
 
 import os
 from types import ModuleType
 
 from . import _pure
+from ._pure import (
+    KIND_ARTIN,
+    KIND_BKL,
+    atom_count,
+    atom_perm,
+    bkl_atom_index,
+    bkl_atom_pair,
+    compose,
+    delta_len,
+    identity_perm,
+    invert,
+    is_permutation,
+    is_simple,
+    join,
+    simple_to_atoms,
+)
 
 _impl: ModuleType = _pure
 if not os.environ.get("GARSIDEKIT_PURE"):
@@ -24,24 +43,11 @@ if not os.environ.get("GARSIDEKIT_PURE"):
 
 BACKEND = "speed" if _impl is not _pure else "pure"
 
-KIND_ARTIN = _pure.KIND_ARTIN
-KIND_BKL = _pure.KIND_BKL
-
-identity_perm = _impl.identity_perm
 delta_perm = _impl.delta_perm
-atom_count = _impl.atom_count
-bkl_atom_index = _impl.bkl_atom_index
-bkl_atom_pair = _impl.bkl_atom_pair
-atom_perm = _impl.atom_perm
-compose = _impl.compose
-invert = _impl.invert
 simple_len = _impl.simple_len
 tau_simple = _impl.tau_simple
-is_permutation = _impl.is_permutation
-is_simple = _impl.is_simple
 left_divides = _impl.left_divides
 meet = _impl.meet
-join = _impl.join
 right_complement = _impl.right_complement
 left_complement = _impl.left_complement
 quotient_left = _impl.quotient_left
@@ -51,9 +57,7 @@ normalize_factors = _impl.normalize_factors
 word_to_nf = _impl.word_to_nf
 multiply_nf = _impl.multiply_nf
 invert_nf = _impl.invert_nf
-delta_len = _impl.delta_len
 nf_lengths = _impl.nf_lengths
-simple_to_atoms = _impl.simple_to_atoms
 
 
 def backends() -> dict[str, ModuleType]:

@@ -1,8 +1,8 @@
 """Pure-Python kernels for Garside normal-form arithmetic in braid groups.
 
-This module is the reference backend. A compiled twin (``_speed``) exports
-the same functions with identical semantics; ``garsidekit.kernels`` picks
-one at import time.
+This module is the reference backend. The C extension ``_speed`` compiles
+the hot functions with identical semantics; ``garsidekit.kernels`` says
+which those are and picks a twin at import time.
 
 Representation
 --------------

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -194,14 +196,8 @@ class TestTau:
 class TestBackendEquivalence:
     """The compiled twin must agree with the pure one bit for bit."""
 
-    @pytest.fixture(autouse=True)
-    def speed(self):
-        found = kernels.backends()
-        if "speed" not in found:
-            pytest.skip("compiled backend not built")
-        return found["speed"]
-
-    def test_fuzz_against_pure(self, speed, rng):
+    def test_fuzz_against_pure(self, compiled_speed, rng):
+        speed = compiled_speed
         for kind in BOTH_KINDS:
             for n in (2, 3, 5, 9, 16):
                 atoms = _pure.atom_count(kind, n)
@@ -241,3 +237,58 @@ class TestBackendEquivalence:
                         assert _pure.tau_simple(kind, s, k) == speed.tau_simple(
                             kind, s, k
                         )
+
+
+# Each call reads or writes outside its arguments unless the twin checks
+# them first; every twin must raise instead.
+BAD_CALLS = [
+    "delta_perm(0, 1000)",
+    "delta_perm(1, 1000)",
+    r"meet(0, b'\x02\x01\x00', b'\x00')",
+    r"meet(1, b'\x02\x01\x00', b'\x00')",
+    "meet(0, 'abc', 'abc')",
+    r"simple_len(1, b'\x05\x00')",
+    r"left_divides(0, b'\x01\x00', b'\x00')",
+    r"left_complement(0, b'\x07\x00\x01')",
+    "right_complement(0, 'abc')",
+    r"quotient_left(b'\x00\x01\x02', b'\x00')",
+    r"tau_simple(0, b'\x00\x01\x05', 1)",
+    r"make_left_weighted(0, b'\x01\x00', b'\x00')",
+    r"is_left_weighted(0, b'\x00\x01', b'\x00')",
+    r"normalize_factors(0, 3, [b'\x01\x00', b'\x00'])",
+    "word_to_nf(0, 3, [(5, 1)])",
+    "word_to_nf(1, 3, [(3, -1)])",
+    "word_to_nf(0, 1000, [])",
+    r"multiply_nf(0, 3, 0, (b'\x00\x09\x01',), 0, (b'\x01\x00\x02',))",
+    r"invert_nf(0, 3, 0, (b'\x00\x09\x01',))",
+    r"nf_lengths(1, 3, 0, (b'\x00\x05\x01',))",
+]
+
+PROBE = """
+import importlib.util, sys
+name, path, call = sys.argv[1:]
+spec = importlib.util.spec_from_file_location(name, path)
+kit = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kit)
+try:
+    result = eval(call, vars(kit))
+except Exception as exc:
+    print("raised", type(exc).__name__)
+else:
+    print("returned", repr(result))
+"""
+
+
+@pytest.mark.parametrize("call", BAD_CALLS)
+def test_bad_arguments_raise(kit, call):
+    # In a child process, so that a crash fails this test instead of
+    # killing the test run.
+    name = kit.__name__.rpartition(".")[2]
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, name, kit.__file__, call],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
+    assert done.stdout.startswith("raised"), done.stdout
