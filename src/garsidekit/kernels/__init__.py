@@ -1,16 +1,18 @@
 """Kernel backend selection.
 
-The hot inner loops (factor-sequence normalization, lattice operations on
-simples) exist twice: the C extension ``_speed`` and the pure Python twin
-``_pure``, which is the reference; both have identical semantics. The
-compiled backend is preferred when importable; set ``GARSIDEKIT_PURE=1`` to
-force the pure one (useful for debugging).
+The pure Python twin ``_pure`` is the reference for every kernel. The C
+extension ``_speed`` compiles only the four normal-form operations that
+the solver, the ranking and the oracle spend their kernel time in:
+``word_to_nf``, ``multiply_nf``, ``invert_nf`` and ``nf_lengths``. Both
+twins have identical semantics. The compiled backend is preferred when
+importable; set ``GARSIDEKIT_PURE=1`` to force the pure one (useful for
+debugging).
 
 This module is the one place that says which kernels are compiled: the
 names assigned from ``_impl`` below come from the selected backend, and
-everything imported from ``_pure`` always runs in Python. The rest of the
-package imports ``from .kernels import ...`` and never cares which twin
-runs.
+everything imported from ``_pure``, the lattice operations on single
+simples included, always runs in Python. The rest of the package imports
+``from .kernels import ...`` and never cares which twin runs.
 """
 
 import os
@@ -26,12 +28,22 @@ from ._pure import (
     bkl_atom_pair,
     compose,
     delta_len,
+    delta_perm,
     identity_perm,
     invert,
+    is_left_weighted,
     is_permutation,
     is_simple,
     join,
+    left_complement,
+    left_divides,
+    make_left_weighted,
+    meet,
+    quotient_left,
+    right_complement,
+    simple_len,
     simple_to_atoms,
+    tau_simple,
 )
 
 _impl: ModuleType = _pure
@@ -43,17 +55,6 @@ if not os.environ.get("GARSIDEKIT_PURE"):
 
 BACKEND = "speed" if _impl is not _pure else "pure"
 
-delta_perm = _impl.delta_perm
-simple_len = _impl.simple_len
-tau_simple = _impl.tau_simple
-left_divides = _impl.left_divides
-meet = _impl.meet
-right_complement = _impl.right_complement
-left_complement = _impl.left_complement
-quotient_left = _impl.quotient_left
-make_left_weighted = _impl.make_left_weighted
-is_left_weighted = _impl.is_left_weighted
-normalize_factors = _impl.normalize_factors
 word_to_nf = _impl.word_to_nf
 multiply_nf = _impl.multiply_nf
 invert_nf = _impl.invert_nf

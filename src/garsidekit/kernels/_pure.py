@@ -74,6 +74,8 @@ def bkl_atom_pair(a: int) -> tuple[int, int]:
 
 
 def atom_perm(kind: int, n: int, a: int) -> bytes:
+    if not 0 <= a < atom_count(kind, n):
+        raise ValueError(f"atom {a} outside 0..{atom_count(kind, n) - 1}")
     p = bytearray(range(n))
     if kind == KIND_ARTIN:
         p[a], p[a + 1] = p[a + 1], p[a]
@@ -147,14 +149,13 @@ def tau_simple(kind: int, p: bytes, k: int) -> bytes:
 
 
 def is_permutation(p: bytes, n: int) -> bool:
-    if len(p) != n:
-        return False
-    seen = bytearray(n)
-    for x in p:
-        if x >= n or seen[x]:
-            return False
-        seen[x] = 1
-    return True
+    return len(p) == n and set(p) == set(range(n))
+
+
+def _check_factors(n: int, factors: Sequence[bytes]) -> None:
+    for f in factors:
+        if not is_permutation(f, n):
+            raise ValueError(f"factor {f!r} is not a permutation of range({n})")
 
 
 def is_simple(kind: int, p: bytes) -> bool:
@@ -454,6 +455,8 @@ def multiply_nf(
     """
     if not f1:
         return k1 + k2, tuple(f2)
+    _check_factors(n, f1)
+    _check_factors(n, f2)
     if not f2:
         return k1 + k2, tuple(tau_simple(kind, x, k2) for x in f1)
     fs = [tau_simple(kind, x, k2) for x in f1]
@@ -471,6 +474,7 @@ def invert_nf(
     Each reversed factor contributes ``delta^-1 * left_complement``, and
     sweeping the deltas frontward twists the complements.
     """
+    _check_factors(n, f)
     r = len(f)
     out = [
         tau_simple(kind, left_complement(kind, f[j - 1]), -(j - 1) - k)
@@ -490,6 +494,7 @@ def nf_lengths(kind: int, n: int, k: int, f: Sequence[bytes]) -> tuple[int, int]
     The rational length drops two copies of the leading factor lengths
     that cancel against negative delta powers.
     """
+    _check_factors(n, f)
     ld = delta_len(kind, n)
     lens = [simple_len(kind, x) for x in f]
     greedy = abs(k) * ld + sum(lens)

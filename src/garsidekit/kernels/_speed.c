@@ -1,14 +1,20 @@
 /*
- * Compiled kernels: the hot twin of ``_pure``, written against the CPython
- * C API.
+ * Compiled kernels: the four normal-form operations of ``_pure``, written
+ * against the CPython C API.
+ *
+ * Only ``word_to_nf``, ``multiply_nf``, ``invert_nf`` and ``nf_lengths`` are
+ * compiled: the beam solver, the ranking and the oracle spend their kernel
+ * time there, and nowhere else. The lattice operations on single simples
+ * (meet, complements, left-weighting) live here only as static helpers of
+ * those four; their Python entry points are the pure twin's.
  *
  * Every function here has the same name, positional signature and result
  * as its namesake in ``_pure.py``, which is the reference; the test suite
  * drives both on the same inputs. Permutations stay ``bytes`` at the
  * boundary and become C arrays inside. Where the pure twin hands back an
- * input object unchanged (a trivial twist, a pair that is already
- * left-weighted, the factors a product leaves alone), so does this one, so
- * callers that keep many normal forms share their factors.
+ * input object unchanged (a trivial twist, the factors a product leaves
+ * alone), so does this one, so callers that keep many normal forms share
+ * their factors.
  *
  * Every entry point checks its arguments before it touches memory: the
  * kind is 0 or 1, a strand count lies in 0..256 (``core.MAX_STRANDS``, the
@@ -18,10 +24,9 @@
  * be ``int``, so reading one runs no Python code, and nothing here calls
  * back into the pure twin.
  *
- * ``garsidekit.kernels`` decides which functions come from here and which
- * from the pure twin. ``bkl_atom_index`` and the ``KIND_*`` constants are
- * not hot; they complete this module's interface for code that loads the
- * twin directly (perfbench cross-checks the four lengths through it).
+ * ``bkl_atom_index`` and the ``KIND_*`` constants are not hot; they complete
+ * this module's interface for code that loads the twin directly (perfbench
+ * cross-checks the four lengths through it).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -113,7 +118,11 @@ perm_arg(PyObject *o, int n)
         return NULL;
     }
     p = (const u8 *)PyBytes_AS_STRING(o);
-    memset(seen, 0, n);
+    /* Clear only the n slots in use: gcc 12 flags memset(seen, 0, n) with a
+     * false -Wstringop-overflow once inlined, and clearing all MAXN bytes
+     * made the normal-form kernels about 1.5x slower. */
+    for (i = 0; i < n; i++)
+        seen[i] = 0;
     for (i = 0; i < n; i++) {
         if (p[i] >= n || seen[p[i]]) {
             PyErr_Format(PyExc_ValueError, "not a permutation of range(%d)", n);
@@ -122,19 +131,6 @@ perm_arg(PyObject *o, int n)
         seen[p[i]] = 1;
     }
     return p;
-}
-
-/* Like perm_arg, with n read off ``o``. */
-static const u8 *
-first_perm_arg(PyObject *o, int *n)
-{
-    Py_ssize_t size = PyBytes_Check(o) ? PyBytes_GET_SIZE(o) : 0;
-    if (size > MAXN) {
-        PyErr_Format(PyExc_ValueError, "permutation of length %zd exceeds %d", size, MAXN);
-        return NULL;
-    }
-    *n = (int)size;
-    return perm_arg(o, *n);
 }
 
 /* ------------------------------------------------------------------------
@@ -179,7 +175,8 @@ cycle_labels(const u8 *p, u8 *labels, int n)
 {
     u8 seen[MAXN];
     int i, j;
-    memset(seen, 0, n);
+    for (i = 0; i < n; i++) /* not memset: see perm_arg */
+        seen[i] = 0;
     for (i = 0; i < n; i++)
         for (j = i; !seen[j]; j = p[j]) {
             seen[j] = 1;
@@ -488,177 +485,6 @@ finish_nf(int kind, int n, long long k, PyObject *fs, Py_ssize_t scan_from,
 /* ------------------------------------------------------------------------
  * Entry points */
 
-static PyObject *
-py_delta_perm(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    u8 buf[MAXN];
-    int kind, n;
-    if (!nargs_ok("delta_perm", nargs, 2) || !kind_arg(args[0], &kind)
-        || !strands_arg(args[1], &n))
-        return NULL;
-    fill_delta(kind, buf, n);
-    return bytes_of(buf, n);
-}
-
-static PyObject *
-py_simple_len(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    const u8 *p;
-    int kind, n;
-    if (!nargs_ok("simple_len", nargs, 2) || !kind_arg(args[0], &kind)
-        || !(p = first_perm_arg(args[1], &n)))
-        return NULL;
-    return PyLong_FromLong(simple_length(kind, p, n));
-}
-
-static PyObject *
-py_tau_simple(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    u8 buf[MAXN];
-    const u8 *p;
-    long long k;
-    int kind, n;
-    if (!nargs_ok("tau_simple", nargs, 3) || !kind_arg(args[0], &kind)
-        || !(p = first_perm_arg(args[1], &n)) || !power_arg(args[2], &k))
-        return NULL;
-    if (!twist(kind, p, buf, n, k))
-        return Py_NewRef(args[1]);
-    return bytes_of(buf, n);
-}
-
-static PyObject *
-py_left_divides(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    u8 ls[MAXN], lt[MAXN], si[MAXN], q[MAXN];
-    const u8 *s, *t;
-    int kind, n, i;
-    if (!nargs_ok("left_divides", nargs, 3) || !kind_arg(args[0], &kind)
-        || !(s = first_perm_arg(args[1], &n)) || !(t = perm_arg(args[2], n)))
-        return NULL;
-    if (kind == KIND_BKL) {
-        cycle_labels(s, ls, n);
-        cycle_labels(t, lt, n);
-        for (i = 0; i < n; i++)
-            if (lt[i] != lt[ls[i]])
-                Py_RETURN_FALSE;
-        Py_RETURN_TRUE;
-    }
-    /* s divides t iff the quotient accounts for exactly the missing
-     * crossings. */
-    fill_invert(s, si, n);
-    for (i = 0; i < n; i++)
-        q[i] = t[si[i]];
-    return PyBool_FromLong(artin_inversions(s, n) + artin_inversions(q, n)
-                           == artin_inversions(t, n));
-}
-
-static PyObject *
-py_meet(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    u8 buf[MAXN];
-    const u8 *s, *t;
-    int kind, n;
-    if (!nargs_ok("meet", nargs, 3) || !kind_arg(args[0], &kind)
-        || !(s = first_perm_arg(args[1], &n)) || !(t = perm_arg(args[2], n)))
-        return NULL;
-    meet_into(kind, s, t, buf, n);
-    return bytes_of(buf, n);
-}
-
-static PyObject *
-py_right_complement(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    u8 buf[MAXN];
-    const u8 *s;
-    int kind, n;
-    if (!nargs_ok("right_complement", nargs, 2) || !kind_arg(args[0], &kind)
-        || !(s = first_perm_arg(args[1], &n)))
-        return NULL;
-    fill_right_complement(kind, s, buf, n);
-    return bytes_of(buf, n);
-}
-
-static PyObject *
-py_left_complement(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    u8 buf[MAXN];
-    const u8 *s;
-    int kind, n;
-    if (!nargs_ok("left_complement", nargs, 2) || !kind_arg(args[0], &kind)
-        || !(s = first_perm_arg(args[1], &n)))
-        return NULL;
-    fill_left_complement(kind, s, buf, n);
-    return bytes_of(buf, n);
-}
-
-static PyObject *
-py_quotient_left(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    u8 si[MAXN], buf[MAXN];
-    const u8 *s, *t;
-    int n, i;
-    if (!nargs_ok("quotient_left", nargs, 2) || !(s = first_perm_arg(args[0], &n))
-        || !(t = perm_arg(args[1], n)))
-        return NULL;
-    fill_invert(s, si, n);
-    for (i = 0; i < n; i++)
-        buf[i] = t[si[i]];
-    return bytes_of(buf, n);
-}
-
-static PyObject *
-py_make_left_weighted(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    u8 s2[MAXN], p2[MAXN];
-    const u8 *s, *p;
-    int kind, n;
-    if (!nargs_ok("make_left_weighted", nargs, 3) || !kind_arg(args[0], &kind)
-        || !(s = first_perm_arg(args[1], &n)) || !(p = perm_arg(args[2], n)))
-        return NULL;
-    if (!slide_into(kind, s, p, s2, p2, n))
-        return pair(Py_NewRef(args[1]), Py_NewRef(args[2]));
-    return pair(bytes_of(s2, n), bytes_of(p2, n));
-}
-
-static PyObject *
-py_is_left_weighted(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    u8 rc[MAXN], b[MAXN];
-    const u8 *s, *p;
-    int kind, n;
-    if (!nargs_ok("is_left_weighted", nargs, 3) || !kind_arg(args[0], &kind)
-        || !(s = first_perm_arg(args[1], &n)) || !(p = perm_arg(args[2], n)))
-        return NULL;
-    fill_right_complement(kind, s, rc, n);
-    return PyBool_FromLong(meet_into(kind, rc, p, b, n));
-}
-
-static PyObject *
-py_normalize_factors(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *seq, *fs;
-    const u8 *p;
-    Py_ssize_t i;
-    int kind, n;
-    if (!nargs_ok("normalize_factors", nargs, 3) || !kind_arg(args[0], &kind)
-        || !strands_arg(args[1], &n) || !(seq = PySequence_Tuple(args[2])))
-        return NULL;
-    if ((fs = PyList_New(0)) == NULL)
-        goto fail;
-    for (i = 0; i < PyTuple_GET_SIZE(seq); i++) {
-        if ((p = perm_arg(PyTuple_GET_ITEM(seq, i), n)) == NULL)
-            goto fail;
-        if (!is_identity(p, n) && PyList_Append(fs, PyTuple_GET_ITEM(seq, i)) < 0)
-            goto fail;
-    }
-    Py_DECREF(seq);
-    return finish_nf(kind, n, 0, fs, 0, PyList_GET_SIZE(fs));
-fail:
-    Py_DECREF(seq);
-    Py_XDECREF(fs);
-    return NULL;
-}
-
 /* One (atom, sign) letter; only the sign's side of zero matters. */
 static int
 letter_arg(PyObject *o, long long atoms, int *atom, int *positive)
@@ -850,24 +676,6 @@ py_bkl_atom_index(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t n
     {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, PyDoc_STR(doc)}
 
 static PyMethodDef speed_methods[] = {
-    KERNEL(delta_perm, "delta_perm(kind, n, /)\n--\n\nThe fundamental element."),
-    KERNEL(simple_len, "simple_len(kind, p, /)\n--\n\nAtom length of a simple."),
-    KERNEL(tau_simple, "tau_simple(kind, p, k, /)\n--\n\n"
-                       "Conjugate by the k-th power of the fundamental element."),
-    KERNEL(left_divides, "left_divides(kind, s, t, /)\n--\n\nWhether s left-divides t."),
-    KERNEL(meet, "meet(kind, s, t, /)\n--\n\nGreatest common left divisor."),
-    KERNEL(right_complement, "right_complement(kind, s, /)\n--\n\n"
-                             "The simple c with s * c = delta."),
-    KERNEL(left_complement, "left_complement(kind, s, /)\n--\n\n"
-                            "The simple c with c * s = delta."),
-    KERNEL(quotient_left, "quotient_left(s, t, /)\n--\n\n"
-                          "The permutation q with s * q = t (divisibility not checked)."),
-    KERNEL(make_left_weighted, "make_left_weighted(kind, s, p, /)\n--\n\n"
-                               "Slide as much of p as possible into s; the product is kept."),
-    KERNEL(is_left_weighted, "is_left_weighted(kind, s, p, /)\n--\n\n"
-                             "Whether the pair (s, p) is left-weighted."),
-    KERNEL(normalize_factors, "normalize_factors(kind, n, factors, /)\n--\n\n"
-                              "Normalize an arbitrary sequence of simple factors."),
     KERNEL(word_to_nf, "word_to_nf(kind, n, letters, /)\n--\n\n"
                        "Normal form of a word given as (atom index, sign) pairs."),
     KERNEL(multiply_nf, "multiply_nf(kind, n, k1, f1, k2, f2, /)\n--\n\n"

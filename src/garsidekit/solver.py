@@ -19,7 +19,7 @@ import time
 from typing import Mapping, Sequence
 
 from . import kernels
-from .core import BraidWord, GreedyNF, StructureDescriptor, _nf_from_raw, equals
+from .core import BraidWord, StructureDescriptor, equals
 from .errors import NoSolutionFound, StructureMismatch
 from .lengths import LengthMetric, to_metric_structure
 from .syntax import parse_word
@@ -119,11 +119,10 @@ class SolverConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ScoredSequence:
-    """A candidate peel: generator moves, metric score, peeled remainder."""
+    """A candidate peel: generator moves and the metric score of the remainder."""
 
     moves: tuple[tuple[int, int], ...]
     score: int
-    residual: GreedyNF
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,16 +157,14 @@ def memory_length_search(
     metric = cfg.metric
     c = to_metric_structure(c, metric)
     gens = [to_metric_structure(g, metric) for g in gens]
-    structure = c.structure
-    code, n = structure.kind_code, structure.strand_count
+    code, n = c.structure.kind_code, c.structure.strand_count
 
     pick = 1 if metric.rational else 0  # nf_lengths gives (greedy, rational)
 
     target_nf = c.raw_nf()
     if cfg.n == 0:
         score = kernels.nf_lengths(code, n, *target_nf)[pick]
-        seq = ScoredSequence((), score, _nf_from_raw(structure, *target_nf))
-        return SearchOutcome((seq,), 0)
+        return SearchOutcome((ScoredSequence((), score),), 0)
 
     # Peeling move (j, sign) multiplies by gens[j-1] ** -sign on the left.
     peel_nfs: list[dict[int, tuple]] = []
@@ -179,10 +176,11 @@ def memory_length_search(
     evaluations = 0
     beam: list[tuple[int, tuple[tuple[int, int], ...], tuple]] = [(0, (), target_nf)]
     for _step in range(cfg.n):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout("memory-length search hit its deadline")
         extensions = []
         for _score, moves, nf in beam:
+            # Once per beam entry, so a wide step stops within 2*|gens| products.
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout("memory-length search hit its deadline")
             for j in range(1, len(gens) + 1):
                 for sign in (1, -1):
                     ext = kernels.multiply_nf(code, n, *peel_nfs[j - 1][sign], *nf)
@@ -191,10 +189,7 @@ def memory_length_search(
                     extensions.append((score, moves + ((j, sign),), ext))
         extensions.sort(key=lambda entry: entry[0])
         beam = extensions[: cfg.memory]
-    sequences = tuple(
-        ScoredSequence(moves, score, _nf_from_raw(structure, *nf))
-        for score, moves, nf in beam
-    )
+    sequences = tuple(ScoredSequence(moves, score) for score, moves, _nf in beam)
     return SearchOutcome(sequences, evaluations)
 
 

@@ -1,5 +1,6 @@
 """Kernel-level tests: lattice oracles, backend equivalence, round trips."""
 
+import collections
 import itertools
 import random
 import subprocess
@@ -9,7 +10,12 @@ import pytest
 
 import brute
 from garsidekit import kernels
+from garsidekit.artin import artin_structure
+from garsidekit.experiments import ExperimentConfig, gen_sample, rank_generators
 from garsidekit.kernels import _pure
+from garsidekit.lengths import LengthMetric
+from garsidekit.solver import SolverConfig, memory_length_search
+from garsidekit.syntax import parse_word
 
 BOTH_KINDS = (kernels.KIND_ARTIN, kernels.KIND_BKL)
 
@@ -201,7 +207,7 @@ class TestBackendEquivalence:
         for kind in BOTH_KINDS:
             for n in (2, 3, 5, 9, 16):
                 atoms = _pure.atom_count(kind, n)
-                simples = []
+                prev = (0, ())
                 for _ in range(200):
                     word = [
                         (rng.randrange(atoms), rng.choice((1, -1)))
@@ -216,31 +222,63 @@ class TestBackendEquivalence:
                     assert _pure.nf_lengths(kind, n, *nf_p) == speed.nf_lengths(
                         kind, n, *nf_s
                     )
-                    simples.extend(nf_p[1][:1])
-                simples.append(_pure.identity_perm(n))
-                simples.append(_pure.delta_perm(kind, n))
-                for s, t in zip(simples, reversed(simples)):
-                    assert _pure.meet(kind, s, t) == speed.meet(kind, s, t)
-                    assert _pure.left_divides(kind, s, t) == speed.left_divides(
-                        kind, s, t
+                    assert _pure.multiply_nf(kind, n, *prev, *nf_p) == (
+                        speed.multiply_nf(kind, n, *prev, *nf_s)
                     )
-                    assert _pure.make_left_weighted(kind, s, t) == (
-                        speed.make_left_weighted(kind, s, t)
-                    )
-                    assert _pure.right_complement(kind, s) == speed.right_complement(
-                        kind, s
-                    )
-                    assert _pure.left_complement(kind, s) == speed.left_complement(
-                        kind, s
-                    )
-                    for k in (-5, -1, 0, 1, 4):
-                        assert _pure.tau_simple(kind, s, k) == speed.tau_simple(
-                            kind, s, k
-                        )
+                    prev = nf_p
+
+
+NF_KERNELS = ("word_to_nf", "multiply_nf", "invert_nf", "nf_lengths")
+
+
+class TestCompiledSet:
+    """Only the four normal-form kernels are compiled."""
+
+    def test_compiled_entry_points(self, compiled_speed):
+        exported = {
+            name
+            for name, value in vars(compiled_speed).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert exported == {*NF_KERNELS, "bkl_atom_index"}
+
+    def test_per_simple_kernels_are_pure(self):
+        assert kernels.meet is _pure.meet
+        assert not hasattr(kernels, "normalize_factors")
+
+    def test_hot_paths_call_only_normal_form_kernels(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+
+            return wrapper
+
+        # Structures read their shape constants, and the band translation
+        # renames letters; neither is a kernel call.
+        skip = {*NF_KERNELS, "atom_count", "delta_len", "bkl_atom_index", "bkl_atom_pair"}
+        for name, value in list(vars(kernels).items()):
+            if callable(value) and not name.startswith("_") and name not in skip:
+                monkeypatch.setattr(kernels, name, counting(name, value))
+        b4 = artin_structure(4)
+        gens = [parse_word(w, b4) for w in ("s1 s2", "s2 s3^-1", "s3 s1 s1")]
+        cfg = SolverConfig(n=3, memory=8, metric=LengthMetric.RATIONAL_ARTIN)
+        memory_length_search(gens[0] * gens[2] * gens[1], gens, cfg)
+        sample = gen_sample(
+            ExperimentConfig(
+                ns=5, wl=4, ng=4, sl=6, samples=1, metric=LengthMetric.RATIONAL_BKL, seed=3
+            ),
+            0,
+        )
+        for metric in (LengthMetric.RATIONAL_ARTIN, LengthMetric.RATIONAL_BKL):
+            rank_generators(sample, metric, random.Random(0))
+        assert calls == {}
 
 
 # Each call reads or writes outside its arguments unless the twin checks
-# them first; every twin must raise instead.
+# them first, or returns a wrong answer; every twin must raise instead.
 BAD_CALLS = [
     "delta_perm(0, 1000)",
     "delta_perm(1, 1000)",
@@ -259,9 +297,12 @@ BAD_CALLS = [
     "word_to_nf(0, 3, [(5, 1)])",
     "word_to_nf(1, 3, [(3, -1)])",
     "word_to_nf(0, 1000, [])",
+    "word_to_nf(0, 3, [(-1, 1)])",
     r"multiply_nf(0, 3, 0, (b'\x00\x09\x01',), 0, (b'\x01\x00\x02',))",
+    r"multiply_nf(1, 3, 0, (b'\x05\x00\x01',), 1, (b'\x01\x02\x00',))",
     r"invert_nf(0, 3, 0, (b'\x00\x09\x01',))",
     r"nf_lengths(1, 3, 0, (b'\x00\x05\x01',))",
+    r"nf_lengths(0, 3, 0, (b'\x05\x00\x01',))",
 ]
 
 PROBE = """
@@ -270,6 +311,9 @@ name, path, call = sys.argv[1:]
 spec = importlib.util.spec_from_file_location(name, path)
 kit = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kit)
+if not callable(getattr(kit, call.partition("(")[0], None)):
+    print("missing from", name)
+    sys.exit()
 try:
     result = eval(call, vars(kit))
 except Exception as exc:
@@ -281,11 +325,14 @@ else:
 
 @pytest.mark.parametrize("call", BAD_CALLS)
 def test_bad_arguments_raise(kit, call):
+    # Only the normal-form kernels are compiled: every backend takes the
+    # per-simple kernels from the pure twin, so those calls probe it alone.
     # In a child process, so that a crash fails this test instead of
     # killing the test run.
-    name = kit.__name__.rpartition(".")[2]
+    module = kit if call.startswith(NF_KERNELS) else _pure
+    name = module.__name__.rpartition(".")[2]
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, name, kit.__file__, call],
+        [sys.executable, "-c", PROBE, name, module.__file__, call],
         capture_output=True,
         text=True,
         timeout=60,

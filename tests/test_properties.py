@@ -1,10 +1,13 @@
 """Garside-law properties of the kernel twins, checked with Hypothesis.
 
 Every property runs on the pure reference and on the C extension built
-from the checkout. Each law computes ``(got, want)`` from one twin; when
-they differ, the message shows what every twin gives on the shrunk
-counterexample, so a disagreement between the twins is the test's output.
-The profile is derandomized, so tier-1 stays deterministic.
+from the checkout. Only the normal-form kernels are compiled, so the
+lattice laws read their simples off each twin's normal forms and check
+them with the pure lattice operations, the only ones there are. Each law
+computes ``(got, want)`` from one twin; when they differ, the message
+shows what every twin gives on the shrunk counterexample, so a
+disagreement between the twins is the test's output. The profile is
+derandomized, so tier-1 stays deterministic.
 """
 
 import functools
@@ -62,12 +65,12 @@ def head_simple(kit, kind, n, word):
     """A simple read off a word: the first factor of its positive part."""
     k, f = kit.word_to_nf(kind, n, [(a, 1) for a, _ in word])
     if k > 0:
-        return kit.delta_perm(kind, n)
+        return _pure.delta_perm(kind, n)
     return f[0] if f else _pure.identity_perm(n)
 
 
-def twist_all(kit, kind, factors, j):
-    return tuple(kit.tau_simple(kind, x, j) for x in factors)
+def twist_all(kind, factors, j):
+    return tuple(_pure.tau_simple(kind, x, j) for x in factors)
 
 
 # -- the laws ---------------------------------------------------------------
@@ -97,44 +100,45 @@ def tau_law(kit, kind, n, u):
     period = 2 if kind == ARTIN else n
     k, f = x = kit.word_to_nf(kind, n, u)
     atoms = {_pure.atom_perm(kind, n, a): a for a in range(_pure.atom_count(kind, n))}
-    tau_u = [(atoms[kit.tau_simple(kind, _pure.atom_perm(kind, n, a), 1)], s) for a, s in u]
+    tau_u = [(atoms[_pure.tau_simple(kind, _pure.atom_perm(kind, n, a), 1)], s) for a, s in u]
     got = (
         kit.word_to_nf(kind, n, tau_u),
-        twist_all(kit, kind, f, period),
+        twist_all(kind, f, period),
         kit.multiply_nf(kind, n, period, (), *x),
     )
-    return got, ((k, twist_all(kit, kind, f, 1)), f, kit.multiply_nf(kind, n, *x, period, ()))
+    return got, ((k, twist_all(kind, f, 1)), f, kit.multiply_nf(kind, n, *x, period, ()))
 
 
 def lattice_law(kit, kind, n, u, v, w):
-    """meet is the greatest common left divisor; join (pure) absorbs it."""
+    """meet is the greatest common left divisor; join absorbs it."""
     s, t, r = (head_simple(kit, kind, n, word) for word in (u, v, w))
-    meet = kit.meet(kind, s, t)
+    meet, divides = _pure.meet, _pure.left_divides
+    st_meet = meet(kind, s, t)
     got = (
-        meet,
-        kit.meet(kind, s, s),
-        kit.meet(kind, s, kit.meet(kind, t, r)),
-        kit.left_divides(kind, meet, s) and kit.left_divides(kind, meet, t),
-        kit.left_divides(kind, s, t),
-        kit.meet(kind, s, _pure.join(kind, s, t)),
-        _pure.join(kind, s, meet),
-        not (kit.left_divides(kind, r, s) and kit.left_divides(kind, r, t))
-        or kit.left_divides(kind, r, meet),
+        st_meet,
+        meet(kind, s, s),
+        meet(kind, s, meet(kind, t, r)),
+        divides(kind, st_meet, s) and divides(kind, st_meet, t),
+        divides(kind, s, t),
+        meet(kind, s, _pure.join(kind, s, t)),
+        _pure.join(kind, s, st_meet),
+        not (divides(kind, r, s) and divides(kind, r, t)) or divides(kind, r, st_meet),
     )
-    want = (kit.meet(kind, t, s), s, kit.meet(kind, meet, r), True, meet == s, s, s, True)
+    want = (meet(kind, t, s), s, meet(kind, st_meet, r), True, st_meet == s, s, s, True)
     return got, want
 
 
 def left_weighted_law(kit, kind, n, u, v):
     """make_left_weighted keeps the product and leaves a left-weighted pair."""
     s, p = head_simple(kit, kind, n, u), head_simple(kit, kind, n, v)
-    s2, p2 = kit.make_left_weighted(kind, s, p)
+    s2, p2 = _pure.make_left_weighted(kind, s, p)
+    length = _pure.simple_len
     got = (
-        kit.is_left_weighted(kind, s2, p2),
+        _pure.is_left_weighted(kind, s2, p2),
         _pure.compose(s2, p2),
-        kit.simple_len(kind, s2) + kit.simple_len(kind, p2),
+        length(kind, s2) + length(kind, p2),
     )
-    return got, (True, _pure.compose(s, p), kit.simple_len(kind, s) + kit.simple_len(kind, p))
+    return got, (True, _pure.compose(s, p), length(kind, s) + length(kind, p))
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 """Memory-length search: scoring, determinism, verification, equations."""
 
 import itertools
+import time
 
 import pytest
 
@@ -109,6 +110,18 @@ class TestMemoryLengthSearch:
         a1, a2 = squares
         with pytest.raises(SearchTimeout):
             memory_length_search(a1 * a2, [a1, a2], config(2, 4), deadline=0.0)
+
+    def test_deadline_inside_a_wide_step(self):
+        # The third step extends 1,024 survivors by 32 peels each, which
+        # takes most of the search; the deadline must stop it mid-step.
+        b8 = artin_structure(8)
+        pairs = itertools.combinations(range(1, 8), 2)
+        gens = [parse_word(f"s{i} s{j}^-1", b8) for i, j in pairs][:16]
+        c = gens[3] * gens[9] * gens[14]
+        start = time.monotonic()
+        with pytest.raises(SearchTimeout):
+            memory_length_search(c, gens, config(3, 4096), deadline=start + 0.02)
+        assert time.monotonic() - start < 0.5
 
 
 class TestVerifyCandidates:
