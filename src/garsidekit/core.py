@@ -285,9 +285,22 @@ class RationalNF:
         )
 
 
+def _from_kernel(cls, *values):
+    """A ``GreedyNF`` or ``RationalNF`` built from normal-form kernel output.
+
+    The kernels return only left-weighted factors, none trivial (nor delta,
+    in a greedy form), so the pair checks of ``__post_init__``, which guard
+    objects built from outside input, are skipped.
+    """
+    nf = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(nf, name, value)
+    return nf
+
+
 def _nf_from_raw(structure: StructureDescriptor, k: int, factors) -> GreedyNF:
-    return GreedyNF(
-        structure, k, tuple(SimpleElement(structure, f) for f in factors)
+    return _from_kernel(
+        GreedyNF, structure, k, tuple(SimpleElement(structure, f) for f in factors)
     )
 
 
@@ -400,7 +413,8 @@ def rational_nf(g: GreedyNF) -> RationalNF:
     neg, pos = raw_rational_parts(
         structure.kind_code, structure.strand_count, *g.raw()
     )
-    return RationalNF(
+    return _from_kernel(
+        RationalNF,
         structure,
         tuple(SimpleElement(structure, f) for f in neg),
         tuple(SimpleElement(structure, f) for f in pos),

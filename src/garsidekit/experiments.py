@@ -237,14 +237,12 @@ def rank_generators(
     code, n = structure.kind_code, structure.strand_count
     gen_nfs = [g.raw_nf() for g in generators]
     target = _sentence_prefixes(sample, code, n, gen_nfs, None)[-1]
-    pick = 1 if metric.rational else 0  # nf_lengths gives (greedy, rational)
-    scores = []
+    peels = []
     for g in range(2 * len(gen_nfs)):
         j, sign = signed_generator(g)
         nf = gen_nfs[j - 1]
-        peel = kernels.invert_nf(code, n, *nf) if sign > 0 else nf
-        peeled = kernels.multiply_nf(code, n, *peel, *target)
-        scores.append(kernels.nf_lengths(code, n, *peeled)[pick])
+        peels.append(kernels.invert_nf(code, n, *nf) if sign > 0 else nf)
+    scores = kernels.peel_lengths(code, n, peels, *target, 1 if metric.rational else 0)
     return ranked_positions(scores, rng)
 
 

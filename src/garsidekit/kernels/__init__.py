@@ -1,12 +1,13 @@
 """Kernel backend selection.
 
 The pure Python twin ``_pure`` is the reference for every kernel. The C
-extension ``_speed`` compiles only the four normal-form operations that
-the solver, the ranking and the oracle spend their kernel time in:
-``word_to_nf``, ``multiply_nf``, ``invert_nf`` and ``nf_lengths``. Both
-twins have identical semantics. The compiled backend is preferred when
-importable; set ``GARSIDEKIT_PURE=1`` to force the pure one (useful for
-debugging).
+extension ``_speed`` compiles only the five normal-form kernels that the
+solver, the ranking and the oracle spend their kernel time in:
+``word_to_nf``, ``multiply_nf``, ``invert_nf``, ``nf_lengths`` and
+``peel_lengths``, which scores a batch of peels ``p * target`` by length
+without building the products. Both twins have identical semantics.
+The compiled backend is preferred when importable; set
+``GARSIDEKIT_PURE=1`` to force the pure one (useful for debugging).
 
 This module is the one place that says which kernels are compiled: the
 names assigned from ``_impl`` below come from the selected backend, and
@@ -59,6 +60,7 @@ word_to_nf = _impl.word_to_nf
 multiply_nf = _impl.multiply_nf
 invert_nf = _impl.invert_nf
 nf_lengths = _impl.nf_lengths
+peel_lengths = _impl.peel_lengths
 
 
 def backends() -> dict[str, ModuleType]:

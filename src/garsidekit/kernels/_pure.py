@@ -40,6 +40,10 @@ from typing import Iterable, Sequence
 
 KIND_ARTIN = 0
 KIND_BKL = 1
+# The compiled twin's argument bounds: the most strands a byte can label
+# (``core.MAX_STRANDS``), and the largest delta power it accepts.
+MAX_STRANDS = 256
+MAX_POWER = 1 << 40
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,11 @@ def _check_factors(n: int, factors: Sequence[bytes]) -> None:
     for f in factors:
         if not is_permutation(f, n):
             raise ValueError(f"factor {f!r} is not a permutation of range({n})")
+
+
+def _check_power(k: int) -> None:
+    if abs(k) > MAX_POWER:
+        raise ValueError(f"delta power {k} outside +-{MAX_POWER}")
 
 
 def is_simple(kind: int, p: bytes) -> bool:
@@ -362,33 +371,41 @@ def is_left_weighted(kind: int, s: bytes, p: bytes) -> bool:
     return meet(kind, right_complement(kind, s), p) == identity_perm(len(s))
 
 
-def _normalize(kind: int, n: int, fs: list[bytes], scan_from: int, virgin: int) -> int:
-    """Left-weight ``fs`` in place; return the count of stripped deltas.
+def _absorb(kind: int, fs: list[bytes], i: int, idp: bytes) -> bool:
+    """Left-multiply the left-weighted suffix ``fs[i+1:]`` by ``fs[i]``.
 
-    Pairs strictly left of ``scan_from`` must already be left-weighted and
-    ``fs[virgin:]`` must be an untouched left-weighted suffix, so scanning
-    may stop once it reaches a stable pair inside that suffix. Identity
-    factors are dropped as they surface; deltas migrate to the front and
-    are stripped off.
+    Each pair is left-weighted in turn and its right part carried on to
+    the next, until a pair is already left-weighted (the rest stays as it
+    is) or nothing is left to carry. By the domino rule of Garside theory,
+    ``fs[i:]`` is then left-weighted save for deltas at its front. Returns
+    False when the first pair was already left-weighted.
     """
-    idp = identity_perm(n)
-    i = max(scan_from, 0)
+    first = i
     while i < len(fs) - 1:
-        s, p = fs[i], fs[i + 1]
-        s2, p2 = make_left_weighted(kind, s, p)
-        if s2 is s or s2 == s:
-            if i + 1 >= virgin:
-                break
-            i += 1
-            continue
+        s2, p2 = make_left_weighted(kind, fs[i], fs[i + 1])
+        if s2 is fs[i] or s2 == fs[i]:
+            break
         fs[i] = s2
         if p2 == idp:
-            fs.pop(i + 1)
-            virgin = max(virgin - 1, i + 1)
-        else:
-            fs[i + 1] = p2
-            virgin = max(virgin, i + 2)
-        i = max(i - 1, 0)
+            del fs[i + 1]
+            return True
+        fs[i + 1] = p2
+        i += 1
+    return i > first
+
+
+def _normalize(kind: int, n: int, fs: list[bytes], last: int) -> int:
+    """Left-weight ``fs`` in place; return the count of stripped deltas.
+
+    ``fs[:last+1]`` and ``fs[last+1:]`` must each be left-weighted. The
+    factors from ``last`` down are absorbed into the suffix one at a time,
+    until one leaves its right neighbour alone: the pairs left of it are
+    untouched, hence still left-weighted. Deltas migrate to the front and
+    are stripped off; identity factors left at the back are dropped.
+    """
+    idp = identity_perm(n)
+    while last >= 0 and _absorb(kind, fs, last, idp):
+        last -= 1
     dp = delta_perm(kind, n)
     lead = 0
     while lead < len(fs) and fs[lead] == dp:
@@ -405,11 +422,16 @@ def normalize_factors(
     """Normalize an arbitrary sequence of simple factors.
 
     Returns the power of delta that migrated to the front together with
-    the left-weighted remainder.
+    the left-weighted remainder. The normal form grows from the front, one
+    factor appended at a time.
     """
     idp = identity_perm(n)
-    fs = [f for f in factors if f != idp]
-    k = _normalize(kind, n, fs, 0, len(fs))
+    fs: list[bytes] = []
+    k = 0
+    for f in factors:
+        if f != idp:
+            fs.append(f)
+            k += _normalize(kind, n, fs, len(fs) - 2)
     return k, tuple(fs)
 
 
@@ -450,8 +472,9 @@ def multiply_nf(
     """Product of two normal forms.
 
     The right-hand delta power commutes through the left factors, twisting
-    them; twisting preserves left-weightedness, so only the seam needs
-    renormalizing.
+    them; twisting preserves left-weightedness, so the left factors are
+    absorbed into the right form one at a time, the last first, and each
+    stops at the first pair it leaves alone.
     """
     if not f1:
         return k1 + k2, tuple(f2)
@@ -460,9 +483,8 @@ def multiply_nf(
     if not f2:
         return k1 + k2, tuple(tau_simple(kind, x, k2) for x in f1)
     fs = [tau_simple(kind, x, k2) for x in f1]
-    seam = len(fs)
     fs.extend(f2)
-    dk = _normalize(kind, n, fs, seam - 1, seam)
+    dk = _normalize(kind, n, fs, len(f1) - 1)
     return k1 + k2 + dk, tuple(fs)
 
 
@@ -502,6 +524,30 @@ def nf_lengths(kind: int, n: int, k: int, f: Sequence[bytes]) -> tuple[int, int]
         return greedy, greedy
     rational = greedy - 2 * sum(lens[: min(len(f), -k)])
     return greedy, rational
+
+
+def peel_lengths(
+    kind: int,
+    n: int,
+    peels: Iterable[tuple[int, Sequence[bytes]]],
+    k: int,
+    f: Sequence[bytes],
+    rational: int,
+) -> tuple[int, ...]:
+    """Greedy (``rational=0``) or rational (``rational=1``) length of
+    ``p * (k, f)`` for each normal form ``p`` in ``peels``.
+
+    This is the beam's scoring step: the caller keeps only the lengths, so
+    the compiled twin never builds the products.
+    """
+    if not 0 <= n <= MAX_STRANDS or rational not in (0, 1):
+        raise ValueError(f"need 0 <= n <= {MAX_STRANDS} and rational 0 or 1")
+    _check_power(k)
+    out = []
+    for k1, f1 in peels:
+        _check_power(k1)
+        out.append(nf_lengths(kind, n, *multiply_nf(kind, n, k1, f1, k, f))[rational])
+    return tuple(out)
 
 
 def simple_to_atoms(kind: int, p: bytes) -> tuple[int, ...]:

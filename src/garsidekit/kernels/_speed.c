@@ -1,20 +1,23 @@
 /*
- * Compiled kernels: the four normal-form operations of ``_pure``, written
+ * Compiled kernels: the five normal-form operations of ``_pure``, written
  * against the CPython C API.
  *
- * Only ``word_to_nf``, ``multiply_nf``, ``invert_nf`` and ``nf_lengths`` are
- * compiled: the beam solver, the ranking and the oracle spend their kernel
- * time there, and nowhere else. The lattice operations on single simples
+ * Only ``word_to_nf``, ``multiply_nf``, ``invert_nf``, ``nf_lengths`` and
+ * ``peel_lengths`` are compiled: the beam solver, the ranking and the oracle
+ * spend their kernel time there, and nowhere else. ``peel_lengths`` scores
+ * a batch of products p * target by length without building them, for the
+ * beam step and the ranking. The lattice operations on single simples
  * (meet, complements, left-weighting) live here only as static helpers of
- * those four; their Python entry points are the pure twin's.
+ * those five; their Python entry points are the pure twin's.
  *
  * Every function here has the same name, positional signature and result
  * as its namesake in ``_pure.py``, which is the reference; the test suite
  * drives both on the same inputs. Permutations stay ``bytes`` at the
- * boundary and become C arrays inside. Where the pure twin hands back an
- * input object unchanged (a trivial twist, the factors a product leaves
- * alone), so does this one, so callers that keep many normal forms share
- * their factors.
+ * boundary and become C arrays inside: each kernel copies the factors it
+ * reads into one factor list (``flist``), and ``normalize`` left-weights
+ * that list in place. Where the pure twin hands back an input object
+ * unchanged (a trivial twist, the factors a product leaves alone), so does
+ * this one, so callers that keep many normal forms share their factors.
  *
  * Every entry point checks its arguments before it touches memory: the
  * kind is 0 or 1, a strand count lies in 0..256 (``core.MAX_STRANDS``, the
@@ -207,6 +210,12 @@ simple_length(int kind, const u8 *p, int n)
     return n - blocks;
 }
 
+static long long
+delta_length(int kind, int n)
+{
+    return kind == KIND_ARTIN ? n * (n - 1) / 2 : n - 1;
+}
+
 /* ``p`` conjugated by delta^k into ``out``; returns 0, leaving ``out``
  * untouched, when the twist is trivial. */
 static int
@@ -352,6 +361,158 @@ slide_into(int kind, const u8 *s, const u8 *p, u8 *s2, u8 *p2, int n)
 }
 
 /* ------------------------------------------------------------------------
+ * Factor lists on C arrays */
+
+/* ``r`` factors of ``n`` bytes each, back to back in ``perm``. ``from[i]``
+ * is the index of the input object that slot ``i`` still equals, or -1 once
+ * the slot holds a permutation of its own, so a product can hand back the
+ * factors it leaves untouched. */
+typedef struct {
+    u8 *perm;
+    Py_ssize_t *from;
+    Py_ssize_t r, cap;
+} flist;
+
+#define SLOT(fs, i, n) ((fs)->perm + (i) * (Py_ssize_t)(n))
+
+static int
+flist_reserve(flist *fs, Py_ssize_t cap, int n)
+{
+    u8 *perm;
+    Py_ssize_t *from;
+    if (cap < 1)
+        cap = 1;
+    if (cap <= fs->cap)
+        return 1;
+    if (cap > PY_SSIZE_T_MAX / (MAXN + (Py_ssize_t)sizeof *from)) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    if ((perm = PyMem_Realloc(fs->perm, (size_t)(cap * n) + 1)) == NULL) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    fs->perm = perm;
+    if ((from = PyMem_Realloc(fs->from, (size_t)cap * sizeof *from)) == NULL) {
+        PyErr_NoMemory();
+        return 0;
+    }
+    fs->from = from;
+    fs->cap = cap;
+    return 1;
+}
+
+static void
+flist_free(flist *fs)
+{
+    PyMem_Free(fs->perm);
+    PyMem_Free(fs->from);
+}
+
+/* Append ``p``, tagged ``from``; the caller has reserved the slot, which
+ * ``p`` may already occupy. */
+static void
+flist_push(flist *fs, const u8 *p, int n, Py_ssize_t from)
+{
+    memmove(SLOT(fs, fs->r, n), p, n);
+    fs->from[fs->r++] = from;
+}
+
+static void
+flist_drop(flist *fs, Py_ssize_t at, Py_ssize_t count, int n)
+{
+    Py_ssize_t rest = fs->r - at - count;
+    if (count == 0)
+        return;
+    memmove(SLOT(fs, at, n), SLOT(fs, at + count, n), (size_t)(rest * n));
+    memmove(fs->from + at, fs->from + at + count, (size_t)rest * sizeof *fs->from);
+    fs->r -= count;
+}
+
+/* Check and append every factor of the tuple ``seq``, conjugated by
+ * delta^k. A factor the twist leaves alone is tagged ``tag`` plus its
+ * index, or -1 when ``tag`` is -1; a twisted one is tagged -1. */
+static int
+push_factors(int kind, int n, flist *fs, PyObject *seq, long long k, Py_ssize_t tag)
+{
+    u8 buf[MAXN];
+    const u8 *p;
+    Py_ssize_t i, r = PyTuple_GET_SIZE(seq);
+    if (!flist_reserve(fs, fs->r + r, n))
+        return 0;
+    for (i = 0; i < r; i++) {
+        if ((p = perm_arg(PyTuple_GET_ITEM(seq, i), n)) == NULL)
+            return 0;
+        if (twist(kind, p, buf, n, k))
+            flist_push(fs, buf, n, -1);
+        else
+            flist_push(fs, p, n, tag < 0 ? -1 : tag + i);
+    }
+    return 1;
+}
+
+/* Left-multiply the left-weighted suffix fs[i+1:] by fs[i]: left-weight
+ * the pair at i and carry its right part on to the next pair, until a pair
+ * is already left-weighted (the rest stays as it is) or nothing is left to
+ * carry. By the domino rule of Garside theory, fs[i:] is then left-weighted
+ * save for deltas at its front. Returns 0 when the first pair was already
+ * left-weighted. */
+static int
+absorb(int kind, int n, flist *fs, Py_ssize_t i)
+{
+    u8 s2[MAXN], p2[MAXN];
+    u8 *s;
+    Py_ssize_t first = i;
+    for (; i < fs->r - 1; i++) {
+        s = SLOT(fs, i, n);
+        if (!slide_into(kind, s, s + n, s2, p2, n))
+            break;
+        memcpy(s, s2, n);
+        fs->from[i] = -1;
+        if (is_identity(p2, n)) {
+            flist_drop(fs, i + 1, 1, n);
+            return 1;
+        }
+        memcpy(s + n, p2, n);
+        fs->from[i + 1] = -1;
+    }
+    return i > first;
+}
+
+/* Left-weight ``fs`` in place and return the number of deltas stripped off
+ * its front. ``fs[:last+1]`` and ``fs[last+1:]`` must each be left-weighted.
+ * The factors from ``last`` down are absorbed into the suffix one at a
+ * time, until one leaves its right neighbour alone: the pairs left of it
+ * are untouched, hence still left-weighted. Deltas migrate to the front;
+ * identity factors left at the back are dropped. This is the one
+ * normalization loop: every normal form and every scored product goes
+ * through it. */
+static Py_ssize_t
+normalize(int kind, int n, flist *fs, Py_ssize_t last)
+{
+    u8 dlt[MAXN];
+    Py_ssize_t lead = 0;
+    while (last >= 0 && absorb(kind, n, fs, last))
+        last--;
+    fill_delta(kind, dlt, n);
+    while (lead < fs->r && memcmp(SLOT(fs, lead, n), dlt, n) == 0)
+        lead++;
+    flist_drop(fs, 0, lead, n);
+    while (fs->r > 0 && is_identity(SLOT(fs, fs->r - 1, n), n))
+        fs->r--;
+    return lead;
+}
+
+/* Right-multiply the normal form in ``fs`` by the simple ``p`` (reserved by
+ * the caller); returns the deltas stripped off the front. */
+static Py_ssize_t
+append_simple(int kind, int n, flist *fs, const u8 *p)
+{
+    flist_push(fs, p, n, -1);
+    return normalize(kind, n, fs, fs->r - 2);
+}
+
+/* ------------------------------------------------------------------------
  * Python objects */
 
 static PyObject *
@@ -375,111 +536,29 @@ pair(PyObject *a, PyObject *b)
     return NULL;
 }
 
-/* The factor ``o`` conjugated by delta^k: ``o`` itself when that is trivial. */
+/* The normal form ``(k, factors of fs)``. A slot tagged j is the input
+ * object it still equals: item j of ``left``, then of ``right`` (either
+ * may be NULL when no slot is tagged). */
 static PyObject *
-twisted(int kind, PyObject *o, int n, long long k)
+nf_object(int n, long long k, const flist *fs, PyObject *left, PyObject *right)
 {
-    u8 buf[MAXN];
-    const u8 *p = perm_arg(o, n);
-    if (p == NULL)
+    Py_ssize_t i, j, r1 = left == NULL ? 0 : PyTuple_GET_SIZE(left);
+    PyObject *t = PyTuple_New(fs->r), *x;
+    if (t == NULL)
         return NULL;
-    if (!twist(kind, p, buf, n, k))
-        return Py_NewRef(o);
-    return bytes_of(buf, n);
-}
-
-static int
-append_factor(PyObject *fs, const u8 *p, int n)
-{
-    PyObject *o = bytes_of(p, n);
-    int rc;
-    if (o == NULL)
-        return -1;
-    rc = PyList_Append(fs, o);
-    Py_DECREF(o);
-    return rc;
-}
-
-static int
-set_factor(PyObject *fs, Py_ssize_t i, const u8 *p, int n)
-{
-    PyObject *o = bytes_of(p, n);
-    return o == NULL ? -1 : PyList_SetItem(fs, i, o);
-}
-
-/* Left-weight the factor list ``fs`` in place and return the number of
- * deltas stripped off its front, or -1 on error.
- *
- * Pairs strictly left of ``i`` must already be left-weighted and
- * ``fs[virgin:]`` must be an untouched left-weighted suffix, so the scan may
- * stop at a stable pair inside that suffix. Identity factors are dropped
- * as they surface; deltas migrate to the front. */
-static Py_ssize_t
-normalize(int kind, int n, PyObject *fs, Py_ssize_t i, Py_ssize_t virgin)
-{
-    u8 s2[MAXN], p2[MAXN], dlt[MAXN];
-    const u8 *s, *p;
-    Py_ssize_t lead = 0, size;
-    if (i < 0)
-        i = 0;
-    while (i < PyList_GET_SIZE(fs) - 1) {
-        s = perm_arg(PyList_GET_ITEM(fs, i), n);
-        p = s == NULL ? NULL : perm_arg(PyList_GET_ITEM(fs, i + 1), n);
-        if (p == NULL)
-            return -1;
-        if (!slide_into(kind, s, p, s2, p2, n)) {
-            if (i + 1 >= virgin)
-                break;
-            i++;
-            continue;
+    for (i = 0; i < fs->r; i++) {
+        j = fs->from[i];
+        if (j < 0)
+            x = bytes_of(SLOT(fs, i, n), n);
+        else
+            x = Py_NewRef(j < r1 ? PyTuple_GET_ITEM(left, j) : PyTuple_GET_ITEM(right, j - r1));
+        if (x == NULL) {
+            Py_DECREF(t);
+            return NULL;
         }
-        if (set_factor(fs, i, s2, n) < 0)
-            return -1;
-        if (is_identity(p2, n)) {
-            if (PyList_SetSlice(fs, i + 1, i + 2, NULL) < 0)
-                return -1;
-            virgin = virgin - 1 > i + 1 ? virgin - 1 : i + 1;
-        }
-        else {
-            if (set_factor(fs, i + 1, p2, n) < 0)
-                return -1;
-            virgin = virgin > i + 2 ? virgin : i + 2;
-        }
-        if (i > 0)
-            i--;
+        PyTuple_SET_ITEM(t, i, x);
     }
-    fill_delta(kind, dlt, n);
-    for (; lead < PyList_GET_SIZE(fs); lead++) {
-        if ((s = perm_arg(PyList_GET_ITEM(fs, lead), n)) == NULL)
-            return -1;
-        if (memcmp(s, dlt, n) != 0)
-            break;
-    }
-    if (lead > 0 && PyList_SetSlice(fs, 0, lead, NULL) < 0)
-        return -1;
-    while ((size = PyList_GET_SIZE(fs)) > 0) {
-        if ((s = perm_arg(PyList_GET_ITEM(fs, size - 1), n)) == NULL)
-            return -1;
-        if (!is_identity(s, n))
-            break;
-        if (PyList_SetSlice(fs, size - 1, size, NULL) < 0)
-            return -1;
-    }
-    return lead;
-}
-
-/* The normal form ``(k + stripped deltas, tuple(fs))`` after normalizing
- * ``fs`` from ``scan_from``; consumes ``fs``. */
-static PyObject *
-finish_nf(int kind, int n, long long k, PyObject *fs, Py_ssize_t scan_from,
-          Py_ssize_t virgin)
-{
-    Py_ssize_t lead = normalize(kind, n, fs, scan_from, virgin);
-    PyObject *out = NULL;
-    if (lead >= 0)
-        out = pair(PyLong_FromLongLong(k + lead), PyList_AsTuple(fs));
-    Py_DECREF(fs);
-    return out;
+    return pair(PyLong_FromLongLong(k), t);
 }
 
 /* ------------------------------------------------------------------------
@@ -510,52 +589,53 @@ static PyObject *
 py_word_to_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     u8 q[MAXN], atom[MAXN], buf[MAXN];
-    PyObject *seq, *fs;
+    PyObject *seq, *out = NULL;
+    flist fs = {NULL, NULL, 0, 0};
     const u8 *f;
-    long long shift = 0;
-    Py_ssize_t i;
+    long long shift = 0, atoms;
+    Py_ssize_t i, top;
     int kind, n, a, positive;
-    long long atoms;
     if (!nargs_ok("word_to_nf", nargs, 3) || !kind_arg(args[0], &kind)
         || !strands_arg(args[1], &n) || !(seq = PySequence_Tuple(args[2])))
         return NULL;
     atoms = kind == KIND_ARTIN ? n - 1 : n * (n - 1) / 2;
-    if ((fs = PyList_New(0)) == NULL)
-        goto fail;
+    top = PyTuple_GET_SIZE(seq);
+    if (!flist_reserve(&fs, top, n))
+        goto done;
     /* A negative letter a^-1 is delta^-1 * c with c * a = delta. Sweeping
      * the deltas to the front twists each factor by the power of delta
-     * that passes through it: the count of negative letters to its right. */
+     * that passes through it: the count of negative letters to its right.
+     * The factors fill the list's slots from the back; then the normal
+     * form grows from the front, one factor appended at a time. */
     for (i = PyTuple_GET_SIZE(seq) - 1; i >= 0; i--) {
         if (!letter_arg(PyTuple_GET_ITEM(seq, i), atoms, &a, &positive))
-            goto fail;
+            goto done;
         fill_atom(kind, n, a, atom);
         if (positive)
             memcpy(q, atom, n);
         else
             fill_left_complement(kind, atom, q, n);
         f = twist(kind, q, buf, n, shift) ? buf : q;
-        if (!is_identity(f, n) && append_factor(fs, f, n) < 0)
-            goto fail;
+        if (!is_identity(f, n))
+            memcpy(SLOT(&fs, --top, n), f, n);
         shift -= !positive;
     }
+    for (i = top; i < PyTuple_GET_SIZE(seq); i++)
+        shift += append_simple(kind, n, &fs, SLOT(&fs, i, n));
+    out = nf_object(n, shift, &fs, NULL, NULL);
+done:
+    flist_free(&fs);
     Py_DECREF(seq);
-    if (PyList_Reverse(fs) < 0) {
-        Py_DECREF(fs);
-        return NULL;
-    }
-    return finish_nf(kind, n, shift, fs, 0, PyList_GET_SIZE(fs));
-fail:
-    Py_DECREF(seq);
-    Py_XDECREF(fs);
-    return NULL;
+    return out;
 }
 
 static PyObject *
 py_multiply_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *f1, *f2, *fs = NULL, *x, *out = NULL;
+    PyObject *f1, *f2, *out = NULL;
+    flist fs = {NULL, NULL, 0, 0};
     long long k1, k2;
-    Py_ssize_t r1, r2, i;
+    Py_ssize_t r1;
     int kind, n;
     if (!nargs_ok("multiply_nf", nargs, 6) || !kind_arg(args[0], &kind)
         || !strands_arg(args[1], &n) || !power_arg(args[2], &k1)
@@ -566,31 +646,20 @@ py_multiply_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t narg
         return NULL;
     }
     r1 = PyTuple_GET_SIZE(f1);
-    r2 = PyTuple_GET_SIZE(f2);
     if (r1 == 0) {
         out = pair(PyLong_FromLongLong(k1 + k2), Py_NewRef(f2));
         goto done;
     }
     /* The right delta power commutes through the left factors, twisting
-     * them; twisting keeps them left-weighted, so only the seam needs
-     * normalizing. */
-    if ((fs = PyList_New(r1 + r2)) == NULL)
-        goto done;
-    for (i = 0; i < r1; i++) {
-        if ((x = twisted(kind, PyTuple_GET_ITEM(f1, i), n, k2)) == NULL)
-            goto done;
-        PyList_SET_ITEM(fs, i, x);
-    }
-    for (i = 0; i < r2; i++)
-        PyList_SET_ITEM(fs, r1 + i, Py_NewRef(PyTuple_GET_ITEM(f2, i)));
-    if (r2 == 0)
-        out = pair(PyLong_FromLongLong(k1 + k2), PyList_AsTuple(fs));
-    else {
-        out = finish_nf(kind, n, k1 + k2, fs, r1 - 1, r1);
-        fs = NULL;
+     * them; twisting keeps them left-weighted, so they are absorbed into
+     * the right form one at a time, the last first. */
+    if (push_factors(kind, n, &fs, f1, k2, 0) && push_factors(kind, n, &fs, f2, 0, r1)) {
+        if (fs.r > r1)
+            k2 += normalize(kind, n, &fs, r1 - 1);
+        out = nf_object(n, k1 + k2, &fs, f1, f2);
     }
 done:
-    Py_XDECREF(fs);
+    flist_free(&fs);
     Py_DECREF(f1);
     Py_DECREF(f2);
     return out;
@@ -600,34 +669,34 @@ static PyObject *
 py_invert_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     u8 lc[MAXN], buf[MAXN];
-    PyObject *seq, *fs;
+    PyObject *seq, *out = NULL;
+    flist fs = {NULL, NULL, 0, 0};
     const u8 *p, *g;
     long long k;
-    Py_ssize_t r, j;
+    Py_ssize_t r, j, lead = 0;
     int kind, n;
     if (!nargs_ok("invert_nf", nargs, 4) || !kind_arg(args[0], &kind)
         || !strands_arg(args[1], &n) || !power_arg(args[2], &k)
         || !(seq = PySequence_Tuple(args[3])))
         return NULL;
     r = PyTuple_GET_SIZE(seq);
-    if ((fs = PyList_New(0)) == NULL)
-        goto fail;
+    if (!flist_reserve(&fs, r, n))
+        goto done;
     /* Each reversed factor contributes delta^-1 * its left complement, and
      * sweeping the deltas frontward twists the complements. */
     for (j = r; j >= 1; j--) {
         if ((p = perm_arg(PyTuple_GET_ITEM(seq, j - 1), n)) == NULL)
-            goto fail;
+            goto done;
         fill_left_complement(kind, p, lc, n);
         g = twist(kind, lc, buf, n, -(j - 1) - k) ? buf : lc;
-        if (!is_identity(g, n) && append_factor(fs, g, n) < 0)
-            goto fail;
+        if (!is_identity(g, n))
+            lead += append_simple(kind, n, &fs, g);
     }
+    out = nf_object(n, -k - r + lead, &fs, NULL, NULL);
+done:
+    flist_free(&fs);
     Py_DECREF(seq);
-    return finish_nf(kind, n, -k - r, fs, 0, PyList_GET_SIZE(fs));
-fail:
-    Py_DECREF(seq);
-    Py_XDECREF(fs);
-    return NULL;
+    return out;
 }
 
 static PyObject *
@@ -655,8 +724,90 @@ py_nf_lengths(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
             head += len;
     }
     Py_DECREF(seq);
-    greedy = (k < 0 ? -k : k) * (kind == KIND_ARTIN ? n * (n - 1) / 2 : n - 1) + total;
+    greedy = (k < 0 ? -k : k) * delta_length(kind, n) + total;
     return pair(PyLong_FromLongLong(greedy), PyLong_FromLongLong(greedy - 2 * head));
+}
+
+/* Check the peel ``o``, a (k, factors) pair, and load its factors into
+ * ``fs`` conjugated by delta^k2; its delta power goes to ``k``. */
+static int
+peel_arg(int kind, int n, flist *fs, PyObject *o, long long k2, long long *k)
+{
+    PyObject *t = PySequence_Tuple(o), *f;
+    int ok = 0;
+    if (t == NULL)
+        return 0;
+    if (PyTuple_GET_SIZE(t) != 2)
+        PyErr_SetString(PyExc_ValueError, "a peel is a (k, factors) pair");
+    else if (power_arg(PyTuple_GET_ITEM(t, 0), k)
+             && (f = PySequence_Tuple(PyTuple_GET_ITEM(t, 1))) != NULL) {
+        fs->r = 0;
+        ok = push_factors(kind, n, fs, f, k2, -1);
+        Py_DECREF(f);
+    }
+    Py_DECREF(t);
+    return ok;
+}
+
+/* The length of p * (k, factors) for each normal form p in ``peels``, read
+ * off the product on C arrays: nothing is built per product. The target is
+ * checked once and its factor lengths are computed once; a product slot
+ * that still holds target factor j reuses that length. */
+static PyObject *
+py_peel_lengths(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *peels = NULL, *target = NULL, *scores = NULL, *score, *out = NULL;
+    flist tgt = {NULL, NULL, 0, 0}, fs = {NULL, NULL, 0, 0};
+    long long k, k1, rational, len, total, head, greedy, *tlen = NULL;
+    Py_ssize_t i, j, r1;
+    int kind, n;
+    if (!nargs_ok("peel_lengths", nargs, 6) || !kind_arg(args[0], &kind)
+        || !strands_arg(args[1], &n) || !power_arg(args[3], &k)
+        || !long_arg(args[5], 0, 1, &rational) || !(peels = PySequence_Tuple(args[2]))
+        || !(target = PySequence_Tuple(args[4])) || !push_factors(kind, n, &tgt, target, 0, 0))
+        goto done;
+    if ((tlen = PyMem_Malloc((size_t)(tgt.r + 1) * sizeof *tlen)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (j = 0; j < tgt.r; j++)
+        tlen[j] = simple_length(kind, SLOT(&tgt, j, n), n);
+    if ((scores = PyTuple_New(PyTuple_GET_SIZE(peels))) == NULL)
+        goto done;
+    for (i = 0; i < PyTuple_GET_SIZE(peels); i++) {
+        /* The peel's factors twisted by delta^k, then the target's,
+         * normalized as in multiply_nf. */
+        if (!peel_arg(kind, n, &fs, PyTuple_GET_ITEM(peels, i), k, &k1)
+            || !flist_reserve(&fs, fs.r + tgt.r, n))
+            goto done;
+        r1 = fs.r;
+        memcpy(SLOT(&fs, r1, n), tgt.perm, (size_t)(tgt.r * n));
+        memcpy(fs.from + r1, tgt.from, (size_t)tgt.r * sizeof *fs.from);
+        fs.r += tgt.r;
+        k1 += k;
+        if (r1 > 0 && tgt.r > 0)
+            k1 += normalize(kind, n, &fs, r1 - 1);
+        total = head = 0;
+        for (j = 0; j < fs.r; j++) {
+            len = fs.from[j] >= 0 ? tlen[fs.from[j]] : simple_length(kind, SLOT(&fs, j, n), n);
+            total += len;
+            if (j < -k1)
+                head += len;
+        }
+        greedy = (k1 < 0 ? -k1 : k1) * delta_length(kind, n) + total;
+        if ((score = PyLong_FromLongLong(rational ? greedy - 2 * head : greedy)) == NULL)
+            goto done;
+        PyTuple_SET_ITEM(scores, i, score);
+    }
+    out = Py_NewRef(scores);
+done:
+    PyMem_Free(tlen);
+    flist_free(&tgt);
+    flist_free(&fs);
+    Py_XDECREF(scores);
+    Py_XDECREF(peels);
+    Py_XDECREF(target);
+    return out;
 }
 
 static PyObject *
@@ -684,6 +835,8 @@ static PyMethodDef speed_methods[] = {
                       "Inverse of a normal form via twisted left complements."),
     KERNEL(nf_lengths, "nf_lengths(kind, n, k, f, /)\n--\n\n"
                        "Greedy and rational atom lengths of a normal form."),
+    KERNEL(peel_lengths, "peel_lengths(kind, n, peels, k, f, rational, /)\n--\n\n"
+                         "Greedy or rational length of p * (k, f) for each normal form p."),
     KERNEL(bkl_atom_index, "bkl_atom_index(t, s, /)\n--\n\n"
                            "Flat index of the band atom joining slots s < t."),
     {NULL, NULL, 0, NULL},

@@ -146,8 +146,12 @@ def memory_length_search(
 
     Returns at most ``memory`` move sequences sorted by (score, insertion
     order); a move ``(j, sign)`` peels ``gens[j-1] ** -sign`` off the left.
-    The length-evaluation counter excludes the score of ``c`` itself, which
-    is only used for the trivial ``n=0`` search.
+    Each beam entry scores all its 2*|gens| peels with one
+    ``kernels.peel_lengths`` call, which builds none of the products; a
+    survivor's normal form is built only when the next step expands it.
+    The length-evaluation counter counts one per scored product and
+    excludes the score of ``c`` itself, which is only used for the trivial
+    ``n=0`` search.
     """
     if not gens:
         raise ValueError("need at least one subgroup generator")
@@ -159,7 +163,8 @@ def memory_length_search(
     gens = [to_metric_structure(g, metric) for g in gens]
     code, n = c.structure.kind_code, c.structure.strand_count
 
-    pick = 1 if metric.rational else 0  # nf_lengths gives (greedy, rational)
+    # nf_lengths gives (greedy, rational); peel_lengths takes the index.
+    pick = 1 if metric.rational else 0
 
     target_nf = c.raw_nf()
     if cfg.n == 0:
@@ -167,29 +172,39 @@ def memory_length_search(
         return SearchOutcome((ScoredSequence((), score),), 0)
 
     # Peeling move (j, sign) multiplies by gens[j-1] ** -sign on the left.
-    peel_nfs: list[dict[int, tuple]] = []
-    for g in gens:
+    peel_moves: list[tuple[int, int]] = []
+    peel_nfs: list[tuple] = []
+    for j, g in enumerate(gens, start=1):
         pos = g.raw_nf()
-        neg = kernels.invert_nf(code, n, *pos)
-        peel_nfs.append({1: neg, -1: pos})
+        peel_moves += [(j, 1), (j, -1)]
+        peel_nfs += [kernels.invert_nf(code, n, *pos), pos]
+    width = len(peel_nfs)
 
+    # A beam entry (moves, peel, nf) stands for the form peel * nf, built
+    # only when the entry is expanded: the last step's survivors never are.
     evaluations = 0
-    beam: list[tuple[int, tuple[tuple[int, int], ...], tuple]] = [(0, (), target_nf)]
+    beam: list[tuple[tuple[tuple[int, int], ...], tuple, tuple]] = [((), (0, ()), target_nf)]
     for _step in range(cfg.n):
-        extensions = []
-        for _score, moves, nf in beam:
-            # Once per beam entry, so a wide step stops within 2*|gens| products.
+        scores: list[int] = []
+        forms = []
+        for _moves, peel, nf in beam:
+            # Once per beam entry, so a wide step stops within one product
+            # and 2*|gens| scores.
             if deadline is not None and time.monotonic() > deadline:
                 raise SearchTimeout("memory-length search hit its deadline")
-            for j in range(1, len(gens) + 1):
-                for sign in (1, -1):
-                    ext = kernels.multiply_nf(code, n, *peel_nfs[j - 1][sign], *nf)
-                    evaluations += 1
-                    score = kernels.nf_lengths(code, n, *ext)[pick]
-                    extensions.append((score, moves + ((j, sign),), ext))
-        extensions.sort(key=lambda entry: entry[0])
-        beam = extensions[: cfg.memory]
-    sequences = tuple(ScoredSequence(moves, score) for score, moves, _nf in beam)
+            nf = kernels.multiply_nf(code, n, *peel, *nf)
+            forms.append(nf)
+            scores += kernels.peel_lengths(code, n, peel_nfs, *nf, pick)
+        evaluations += len(scores)
+        # sorted() is stable, so score ties keep insertion order.
+        best = sorted(range(len(scores)), key=scores.__getitem__)[: cfg.memory]
+        beam = [
+            (beam[e][0] + (peel_moves[m],), peel_nfs[m], forms[e])
+            for e, m in (divmod(i, width) for i in best)
+        ]
+    sequences = tuple(
+        ScoredSequence(moves, scores[i]) for (moves, _peel, _nf), i in zip(beam, best)
+    )
     return SearchOutcome(sequences, evaluations)
 
 

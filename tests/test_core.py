@@ -407,6 +407,23 @@ class TestConstructionChecks:
             with pytest.raises(ValueError):
                 RationalNF(b3, neg, pos)
 
+    def test_kernel_forms_skip_the_pair_check(self, monkeypatch, rng):
+        # Forms built from kernel output are left-weighted by construction;
+        # only forms built from outside input pay for the pair check.
+        def refuse(*args):
+            raise AssertionError("pair re-checked")
+
+        b4 = artin_structure(4)
+        words = [random_word(rng, b4) for _ in range(20)]
+        monkeypatch.setattr(kernels, "is_left_weighted", refuse)
+        for w in words:
+            nf = greedy_nf(w)
+            assert nf.raw() == w.raw_nf()
+            assert equals(recompose(rational_nf(nf)), w)
+        s1, s2 = b4.atoms()[:2]
+        with pytest.raises(AssertionError, match="pair re-checked"):
+            GreedyNF(b4, 0, (s1, s2))
+
     def test_checks_survive_optimize(self):
         script = textwrap.dedent(
             r"""

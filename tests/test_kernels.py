@@ -227,12 +227,61 @@ class TestBackendEquivalence:
                     )
                     prev = nf_p
 
+    def test_peel_lengths_is_the_composition(self, kit, rng):
+        """Each score is nf_lengths(multiply_nf(peel, target))[rational]."""
+        for kind in BOTH_KINDS:
+            for n in (3, 4, 6, 9, 12, 16):
+                atoms = _pure.atom_count(kind, n)
 
-NF_KERNELS = ("word_to_nf", "multiply_nf", "invert_nf", "nf_lengths")
+                def nf():
+                    word = [
+                        (rng.randrange(atoms), rng.choice((1, -1)))
+                        for _ in range(rng.randrange(0, 16))
+                    ]
+                    k, f = _pure.word_to_nf(kind, n, word)
+                    return k + rng.choice((0, 0, -1, -3, 2)), f
+
+                for _ in range(12):
+                    peels = [nf() for _ in range(rng.randrange(0, 6))]
+                    peels += [(0, ()), (-2, ())]  # identity and a pure delta power
+                    rng.shuffle(peels)
+                    for target in (nf(), (0, ()), (-4, ())):
+                        for rational in (0, 1):
+                            expected = tuple(
+                                _pure.nf_lengths(
+                                    kind, n, *_pure.multiply_nf(kind, n, *p, *target)
+                                )[rational]
+                                for p in peels
+                            )
+                            got = kit.peel_lengths(kind, n, peels, *target, rational)
+                            assert got == expected, (kind, n, peels, target, rational)
+
+    def test_products_share_untouched_factors(self, kit, rng):
+        """A product hands back the right factors its left one leaves alone."""
+        for kind in BOTH_KINDS:
+            n = 6
+            atoms = _pure.atom_count(kind, n)
+            shared = 0
+            for _ in range(100):
+                long_word = [(rng.randrange(atoms), 1) for _ in range(40)]
+                right = kit.word_to_nf(kind, n, long_word)
+                left = kit.word_to_nf(kind, n, [(rng.randrange(atoms), 1)])
+                _, f = kit.multiply_nf(kind, n, *left, *right)
+                # Factors the product left alone sit at the same place from
+                # the end; they must be the very input objects.
+                for got, old in zip(reversed(f), reversed(right[1])):
+                    if got != old:
+                        break
+                    assert got is old
+                    shared += 1
+            assert shared > 0
+
+
+NF_KERNELS = ("word_to_nf", "multiply_nf", "invert_nf", "nf_lengths", "peel_lengths")
 
 
 class TestCompiledSet:
-    """Only the four normal-form kernels are compiled."""
+    """Only the five normal-form kernels are compiled."""
 
     def test_compiled_entry_points(self, compiled_speed):
         exported = {
@@ -276,6 +325,44 @@ class TestCompiledSet:
             rank_generators(sample, metric, random.Random(0))
         assert calls == {}
 
+    def test_peels_are_scored_in_batches(self, monkeypatch):
+        """No product is built only to be scored.
+
+        A search scores every peel through ``peel_lengths``, one call per
+        beam entry, and builds the normal form of an entry only when it
+        expands it: at most ``memory`` products per step. A ranking scores
+        all its peels with one call and builds no product.
+        """
+        calls = collections.Counter()
+        for name in NF_KERNELS:
+            kernel = getattr(kernels, name)
+
+            def wrapper(*args, _name=name, _kernel=kernel):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(kernels, name, wrapper)
+        b5 = artin_structure(5)
+        gens = [parse_word(w, b5) for w in ("s1 s2", "s2 s3^-1", "s3 s4 s4", "s4^-1 s1")]
+        cfg = SolverConfig(n=4, memory=6, metric=LengthMetric.RATIONAL_BKL)
+        target = gens[0] * gens[2] * gens[1].inverse() * gens[3]
+        calls.clear()
+        out = memory_length_search(target, gens, cfg)
+        assert calls["nf_lengths"] == 0
+        assert calls["multiply_nf"] == calls["peel_lengths"]
+        assert calls["multiply_nf"] <= 1 + cfg.memory * (cfg.n - 1)
+        assert out.length_evaluations == 2 * len(gens) * calls["peel_lengths"]
+        sample = gen_sample(
+            ExperimentConfig(
+                ns=5, wl=4, ng=4, sl=6, samples=1, metric=LengthMetric.RATIONAL_BKL, seed=3
+            ),
+            0,
+        )
+        calls.clear()
+        rank_generators(sample, LengthMetric.RATIONAL_BKL, random.Random(0))
+        assert calls["peel_lengths"] == 1
+        assert calls["nf_lengths"] == 0
+
 
 # Each call reads or writes outside its arguments unless the twin checks
 # them first, or returns a wrong answer; every twin must raise instead.
@@ -303,6 +390,13 @@ BAD_CALLS = [
     r"invert_nf(0, 3, 0, (b'\x00\x09\x01',))",
     r"nf_lengths(1, 3, 0, (b'\x00\x05\x01',))",
     r"nf_lengths(0, 3, 0, (b'\x05\x00\x01',))",
+    r"peel_lengths(0, 3, [(0, (b'\x00\x09\x01',))], 0, (b'\x01\x00\x02',), 0)",
+    r"peel_lengths(1, 3, [(0, (b'\x01\x00\x02',))], 0, (b'\x05\x00\x01',), 1)",
+    "peel_lengths(0, 3, [(0,)], 0, (), 0)",
+    "peel_lengths(0, 3, [5], 0, (), 0)",
+    "peel_lengths(0, 1000, [(0, ())], 0, (), 0)",
+    "peel_lengths(0, 3, [(2**41, ())], 0, (), 1)",
+    "peel_lengths(0, 3, [(0, ())], -2**41, (), 1)",
 ]
 
 PROBE = """
@@ -326,13 +420,17 @@ else:
 @pytest.mark.parametrize("call", BAD_CALLS)
 def test_bad_arguments_raise(kit, call):
     # Only the normal-form kernels are compiled: every backend takes the
-    # per-simple kernels from the pure twin, so those calls probe it alone.
+    # per-simple kernels from the pure twin, whose id probes them. The
+    # compiled twin's id checks only that it has no copy of its own.
+    function = call.partition("(")[0]
+    if function not in NF_KERNELS and kit is not _pure:
+        assert not hasattr(kit, function)
+        return
     # In a child process, so that a crash fails this test instead of
     # killing the test run.
-    module = kit if call.startswith(NF_KERNELS) else _pure
-    name = module.__name__.rpartition(".")[2]
+    name = kit.__name__.rpartition(".")[2]
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, name, module.__file__, call],
+        [sys.executable, "-c", PROBE, name, kit.__file__, call],
         capture_output=True,
         text=True,
         timeout=60,

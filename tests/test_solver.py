@@ -1,17 +1,21 @@
 """Memory-length search: scoring, determinism, verification, equations."""
 
 import itertools
+import random
 import time
 
 import pytest
 
+from conftest import random_word
+from garsidekit import kernels
 from garsidekit.artin import artin_structure
 from garsidekit.core import equals
 from garsidekit.errors import NoSolutionFound
-from garsidekit.lengths import LengthMetric, metric_length
+from garsidekit.lengths import LengthMetric, metric_length, to_metric_structure
 from garsidekit.solver import (
     EquationSpec,
     ScoredSequence,
+    SearchOutcome,
     SearchTimeout,
     SolverConfig,
     evaluation_bound,
@@ -37,6 +41,30 @@ def squares(b3):
 
 def config(n, memory, metric=LengthMetric.RATIONAL_ARTIN, **kw):
     return SolverConfig(n=n, memory=memory, metric=metric, **kw)
+
+
+def reference_search(c, gens, cfg):
+    """The beam built one product per peel, scored by its normal form."""
+    c = to_metric_structure(c, cfg.metric)
+    gens = [to_metric_structure(g, cfg.metric) for g in gens]
+    code, n = c.structure.kind_code, c.structure.strand_count
+    pick = 1 if cfg.metric.rational else 0
+    beam = [(0, (), c.raw_nf())]
+    evaluations = 0
+    for _ in range(cfg.n):
+        extensions = []
+        for _score, moves, nf in beam:
+            for j, g in enumerate(gens, start=1):
+                for sign in (1, -1):
+                    peel = kernels.invert_nf(code, n, *g.raw_nf()) if sign > 0 else g.raw_nf()
+                    product = kernels.multiply_nf(code, n, *peel, *nf)
+                    evaluations += 1
+                    score = kernels.nf_lengths(code, n, *product)[pick]
+                    extensions.append((score, moves + ((j, sign),), product))
+        extensions.sort(key=lambda entry: entry[0])
+        beam = extensions[: cfg.memory]
+    sequences = tuple(ScoredSequence(moves, score) for score, moves, _nf in beam)
+    return SearchOutcome(sequences, evaluations)
 
 
 class TestMemoryLengthSearch:
@@ -112,7 +140,7 @@ class TestMemoryLengthSearch:
             memory_length_search(a1 * a2, [a1, a2], config(2, 4), deadline=0.0)
 
     def test_deadline_inside_a_wide_step(self):
-        # The third step extends 1,024 survivors by 32 peels each, which
+        # The fourth step extends 4,096 survivors by 32 peels each, which
         # takes most of the search; the deadline must stop it mid-step.
         b8 = artin_structure(8)
         pairs = itertools.combinations(range(1, 8), 2)
@@ -120,8 +148,27 @@ class TestMemoryLengthSearch:
         c = gens[3] * gens[9] * gens[14]
         start = time.monotonic()
         with pytest.raises(SearchTimeout):
-            memory_length_search(c, gens, config(3, 4096), deadline=start + 0.02)
+            memory_length_search(c, gens, config(4, 4096), deadline=start + 0.02)
         assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "strands, seed", [(5, 1), (5, 2), (8, 3), (8, 4)], ids=["B5-1", "B5-2", "B8-3", "B8-4"]
+    )
+    def test_same_outcome_as_a_product_per_peel(self, strands, seed):
+        """The batched search returns what scoring one product at a time does."""
+        rng = random.Random(seed)
+        structure = artin_structure(strands)
+        gens = [random_word(rng, structure, 6) for _ in range(strands - 1)]
+        gens = [g for g in gens if len(g)] or [structure.word([(0, 1)])]
+        c = gens[0]
+        for _ in range(3):
+            c = c * rng.choice(gens) ** rng.choice((1, -1))
+        for metric in LengthMetric:
+            cfg = config(3, 12, metric)
+            out = memory_length_search(c, gens, cfg)
+            assert out == reference_search(c, gens, cfg)
+            scores = [s.score for s in out.sequences]
+            assert len(set(scores)) < len(scores)  # ties are broken by insertion
 
 
 class TestVerifyCandidates:
