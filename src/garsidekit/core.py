@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Union
 
 from . import kernels
 from .errors import GuardExceeded, NotADivisor, StructureMismatch
+from .kernels import MAX_STRANDS  # a simple is a permutation of range(n) as bytes
 
 ARTIN = "artin"
 BKL = "bkl"
@@ -24,8 +25,6 @@ BKL = "bkl"
 _KIND_CODES = {ARTIN: kernels.KIND_ARTIN, BKL: kernels.KIND_BKL}
 
 SIMPLE_CLOSURE_MAX_STRANDS = 8
-# A simple is a permutation of range(n) stored as bytes.
-MAX_STRANDS = 256
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

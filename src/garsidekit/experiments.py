@@ -81,8 +81,6 @@ class ExperimentConfig:
 class ExperimentSample:
     generators: tuple[BraidWord, ...]
     sentence: BraidWord
-    cor: frozenset[int] | None = None
-    best_position: int | None = None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,6 +23,7 @@ from . import _pure
 from ._pure import (
     KIND_ARTIN,
     KIND_BKL,
+    MAX_STRANDS,
     atom_count,
     atom_perm,
     bkl_atom_index,

@@ -29,9 +29,10 @@ Two structure kinds are supported, selected by the ``kind`` argument:
   The fundamental element is the full cycle ``i -> i+1 (mod n)``; the atom
   with flat index ``t*(t-1)//2 + s`` is the transposition of slots ``s < t``.
 
-Left divisibility is inversion-set containment (Artin) and partition
-refinement (BKL); both facts are exercised against the raw definition by
-the test suite.
+Only ``meet``, the complements and ``simple_len`` have an algorithm per
+structure. Left divisibility (``meet(s, t) == s``), ``join`` and band
+simplicity follow from them by Garside identities, which the test suite
+checks against the raw definitions.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import Iterable, Sequence
 
 KIND_ARTIN = 0
 KIND_BKL = 1
-# The compiled twin's argument bounds: the most strands a byte can label
-# (``core.MAX_STRANDS``), and the largest delta power it accepts.
+# The compiled twin's argument bounds (its ``MAXN`` and ``MAX_POWER``): the
+# most strands a byte can label, and the largest delta power it accepts.
 MAX_STRANDS = 256
 MAX_POWER = 1 << 40
 
@@ -162,38 +163,25 @@ def _check_factors(n: int, factors: Sequence[bytes]) -> None:
             raise ValueError(f"factor {f!r} is not a permutation of range({n})")
 
 
-def _check_power(k: int) -> None:
-    if abs(k) > MAX_POWER:
-        raise ValueError(f"delta power {k} outside +-{MAX_POWER}")
+def _check_bounds(n: int, *powers: int) -> None:
+    """Raise where the compiled twin does on a strand count or delta power."""
+    if not 0 <= n <= MAX_STRANDS:
+        raise ValueError(f"strand count {n} outside 0..{MAX_STRANDS}")
+    for k in powers:
+        if abs(k) > MAX_POWER:
+            raise ValueError(f"delta power {k} outside +-{MAX_POWER}")
 
 
 def is_simple(kind: int, p: bytes) -> bool:
+    """Every permutation is an Artin simple; ``p`` is a band simple, a
+    non-crossing partition below delta in the absolute order (Biane 1997),
+    iff absolute length adds up along ``p * right_complement(p) = delta``."""
     n = len(p)
     if not is_permutation(p, n):
         return False
-    if kind == KIND_ARTIN:
+    if kind == KIND_ARTIN or n <= 1:
         return True
-    # Each cycle must walk upward through its support, and supports must be
-    # laid out without crossings (checked by marking endpoints of the arcs
-    # b -> next(b), processing blocks by ascending minimum).
-    seen = bytearray(n)
-    marked = bytearray(n)
-    for i in range(n):
-        if seen[i]:
-            continue
-        seen[i] = 1
-        prev = i
-        j = p[i]
-        while j != i:
-            if j < prev:
-                return False
-            seen[j] = 1
-            if marked[prev + 1 : j].count(1):
-                return False
-            marked[prev] = marked[j] = 1
-            prev = j
-            j = p[j]
-    return True
+    return simple_len(kind, p) + simple_len(kind, right_complement(kind, p)) == n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +189,7 @@ def is_simple(kind: int, p: bytes) -> bool:
 
 
 def left_divides(kind: int, s: bytes, t: bytes) -> bool:
-    if kind == KIND_BKL:
-        ls = _cycle_labels(s)
-        lt = _cycle_labels(t)
-        return all(lt[i] == lt[ls[i]] for i in range(len(s)))
-    # s divides t iff the quotient permutation accounts for exactly the
-    # missing crossings.
-    q = compose(invert(s), t)
-    return simple_len(KIND_ARTIN, s) + simple_len(KIND_ARTIN, q) == simple_len(
-        KIND_ARTIN, t
-    )
+    return meet(kind, s, t) == s
 
 
 def _labels_to_perm(labels: Sequence[int], n: int) -> bytes:
@@ -263,60 +242,21 @@ def meet(kind: int, s: bytes, t: bytes) -> bytes:
     return bytes(m)
 
 
-def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    a_in = any(b[0] < x < b[-1] for x in a)
-    b_in = any(a[0] < x < a[-1] for x in b)
-    return a_in and b_in
-
-
 def join(kind: int, s: bytes, t: bytes) -> bytes:
-    n = len(s)
+    """Least common multiple: ``x`` is a multiple of ``s`` iff
+    ``right_complement(x)`` right-divides ``right_complement(s)``, so the
+    join is the left complement of their greatest common right divisor
+    (Dehornoy and Paris 1999). For band simples that is their meet, as
+    absolute length is conjugation-invariant (Biane 1997); for Artin
+    simples it is the inverse of the meet of their inverses.
+    """
+    a = right_complement(kind, s)
+    b = right_complement(kind, t)
     if kind == KIND_BKL:
-        # Fuse the two partitions, then merge crossing blocks until the
-        # result is non-crossing: the least non-crossing coarsening.
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for labels in (_cycle_labels(s), _cycle_labels(t)):
-            for i in range(n):
-                ri, rj = find(i), find(labels[i])
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-        blocks: dict[int, list[int]] = {}
-        for i in range(n):
-            blocks.setdefault(find(i), []).append(i)
-        merged = [tuple(b) for b in blocks.values()]
-        changed = True
-        while changed:
-            changed = False
-            for x in range(len(merged)):
-                for y in range(x + 1, len(merged)):
-                    if _blocks_cross(merged[x], merged[y]):
-                        fused = tuple(sorted(merged[x] + merged[y]))
-                        merged = (
-                            merged[:x] + [fused] + merged[x + 1 : y] + merged[y + 1 :]
-                        )
-                        changed = True
-                        break
-                if changed:
-                    break
-        labels2 = bytearray(n)
-        for block in merged:
-            for i in block:
-                labels2[i] = block[0]
-        return _labels_to_perm(labels2, n)
-    # The right-complement map is an anti-isomorphism onto the mirror
-    # lattice, where the mirror meet is computed through inverses.
-    ds = right_complement(kind, s)
-    dt = right_complement(kind, t)
-    mirror = invert(meet(kind, invert(ds), invert(dt)))
-    return left_complement(kind, mirror)
+        g = meet(kind, a, b)
+    else:
+        g = invert(meet(kind, invert(a), invert(b)))
+    return left_complement(kind, g)
 
 
 def right_complement(kind: int, s: bytes) -> bytes:
@@ -444,6 +384,7 @@ def word_to_nf(
     ``c * a = delta``; the delta powers are then swept to the front, which
     twists each factor by the power of delta passing through it.
     """
+    _check_bounds(n)
     raw: list[tuple[int, bytes]] = []
     for a, sign in letters:
         p = atom_perm(kind, n, a)
@@ -476,6 +417,7 @@ def multiply_nf(
     absorbed into the right form one at a time, the last first, and each
     stops at the first pair it leaves alone.
     """
+    _check_bounds(n, k1, k2)
     if not f1:
         return k1 + k2, tuple(f2)
     _check_factors(n, f1)
@@ -496,6 +438,7 @@ def invert_nf(
     Each reversed factor contributes ``delta^-1 * left_complement``, and
     sweeping the deltas frontward twists the complements.
     """
+    _check_bounds(n, k)
     _check_factors(n, f)
     r = len(f)
     out = [
@@ -516,6 +459,7 @@ def nf_lengths(kind: int, n: int, k: int, f: Sequence[bytes]) -> tuple[int, int]
     The rational length drops two copies of the leading factor lengths
     that cancel against negative delta powers.
     """
+    _check_bounds(n, k)
     _check_factors(n, f)
     ld = delta_len(kind, n)
     lens = [simple_len(kind, x) for x in f]
@@ -540,14 +484,14 @@ def peel_lengths(
     This is the beam's scoring step: the caller keeps only the lengths, so
     the compiled twin never builds the products.
     """
-    if not 0 <= n <= MAX_STRANDS or rational not in (0, 1):
-        raise ValueError(f"need 0 <= n <= {MAX_STRANDS} and rational 0 or 1")
-    _check_power(k)
-    out = []
-    for k1, f1 in peels:
-        _check_power(k1)
-        out.append(nf_lengths(kind, n, *multiply_nf(kind, n, k1, f1, k, f))[rational])
-    return tuple(out)
+    _check_bounds(n, k)
+    if rational not in (0, 1):
+        raise ValueError(f"rational is {rational!r}, not 0 or 1")
+    # multiply_nf checks each peel.
+    return tuple(
+        nf_lengths(kind, n, *multiply_nf(kind, n, k1, f1, k, f))[rational]
+        for k1, f1 in peels
+    )
 
 
 def simple_to_atoms(kind: int, p: bytes) -> tuple[int, ...]:

@@ -69,6 +69,26 @@ class TestLatticeAgainstBruteForce:
             )
 
 
+class TestIsSimple:
+    """is_simple against the raw definitions of brute.py."""
+
+    def test_band_simples_are_the_noncrossing_permutations(self):
+        for n in range(8):
+            for p in itertools.permutations(range(n)):
+                expected = brute.is_noncrossing_simple(p)
+                assert kernels.is_simple(kernels.KIND_BKL, bytes(p)) == expected, p
+
+    def test_every_permutation_is_an_artin_simple(self):
+        for n in range(7):
+            for p in itertools.permutations(range(n)):
+                assert kernels.is_simple(kernels.KIND_ARTIN, bytes(p)), p
+
+    @pytest.mark.parametrize("kind", BOTH_KINDS)
+    def test_non_permutations_rejected(self, kind):
+        for data in (b"\x00\x00", b"\x01", b"\x00\x02", b"\x01\x01\x00", b"\x00\x01\x03"):
+            assert not kernels.is_simple(kind, data), data
+
+
 class TestComplements:
     @pytest.mark.parametrize("kind", BOTH_KINDS)
     @pytest.mark.parametrize("n", (3, 4, 5))
@@ -387,9 +407,14 @@ BAD_CALLS = [
     "word_to_nf(0, 3, [(-1, 1)])",
     r"multiply_nf(0, 3, 0, (b'\x00\x09\x01',), 0, (b'\x01\x00\x02',))",
     r"multiply_nf(1, 3, 0, (b'\x05\x00\x01',), 1, (b'\x01\x02\x00',))",
+    "multiply_nf(0, 1000, 0, (), 0, ())",
+    "multiply_nf(0, 3, 2**41, (), 0, ())",
     r"invert_nf(0, 3, 0, (b'\x00\x09\x01',))",
+    "invert_nf(0, 3, 2**41, ())",
     r"nf_lengths(1, 3, 0, (b'\x00\x05\x01',))",
     r"nf_lengths(0, 3, 0, (b'\x05\x00\x01',))",
+    "nf_lengths(0, 1000, 0, ())",
+    "nf_lengths(0, 3, 2**41, ())",
     r"peel_lengths(0, 3, [(0, (b'\x00\x09\x01',))], 0, (b'\x01\x00\x02',), 0)",
     r"peel_lengths(1, 3, [(0, (b'\x01\x00\x02',))], 0, (b'\x05\x00\x01',), 1)",
     "peel_lengths(0, 3, [(0,)], 0, (), 0)",

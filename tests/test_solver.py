@@ -2,12 +2,11 @@
 
 import itertools
 import random
-import time
 
 import pytest
 
 from conftest import random_word
-from garsidekit import kernels
+from garsidekit import kernels, solver
 from garsidekit.artin import artin_structure
 from garsidekit.core import equals
 from garsidekit.errors import NoSolutionFound
@@ -139,17 +138,37 @@ class TestMemoryLengthSearch:
         with pytest.raises(SearchTimeout):
             memory_length_search(a1 * a2, [a1, a2], config(2, 4), deadline=0.0)
 
-    def test_deadline_inside_a_wide_step(self):
-        # The fourth step extends 4,096 survivors by 32 peels each, which
-        # takes most of the search; the deadline must stop it mid-step.
-        b8 = artin_structure(8)
-        pairs = itertools.combinations(range(1, 8), 2)
-        gens = [parse_word(f"s{i} s{j}^-1", b8) for i, j in pairs][:16]
-        c = gens[3] * gens[9] * gens[14]
-        start = time.monotonic()
+    def test_deadline_inside_a_wide_step(self, monkeypatch, squares):
+        # A fake clock advances one tick per reading, so the deadline falls
+        # at a fixed point of the search however fast the machine is. The
+        # search checks it once per beam entry, right before the entry's
+        # one peel_lengths call: every reading but the last is followed by
+        # exactly one call, and a check once per step would let the search
+        # finish.
+        class TickingClock:
+            readings = 0
+
+            def monotonic(self):
+                self.readings += 1
+                return self.readings
+
+        clock = TickingClock()
+        monkeypatch.setattr(solver, "time", clock)
+        scored = []
+        peel_lengths = kernels.peel_lengths
+
+        def counting(*args):
+            scored.append(clock.readings)
+            return peel_lengths(*args)
+
+        monkeypatch.setattr(kernels, "peel_lengths", counting)
+        a1, a2 = squares
+        # 3 steps over 1, 4 and 4 beam entries: readings 1-9, the last step
+        # makes readings 6-9, and the deadline passes at reading 8.
         with pytest.raises(SearchTimeout):
-            memory_length_search(c, gens, config(4, 4096), deadline=start + 0.02)
-        assert time.monotonic() - start < 0.5
+            memory_length_search(a1 * a2 * a1, [a1, a2], config(3, 4), deadline=7.5)
+        assert clock.readings == 8
+        assert scored == list(range(1, 8))
 
     @pytest.mark.parametrize(
         "strands, seed", [(5, 1), (5, 2), (8, 3), (8, 4)], ids=["B5-1", "B5-2", "B8-3", "B8-4"]
