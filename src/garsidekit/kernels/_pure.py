@@ -32,7 +32,8 @@ Two structure kinds are supported, selected by the ``kind`` argument:
 Only ``meet``, the complements and ``simple_len`` have an algorithm per
 structure. Left divisibility (``meet(s, t) == s``), ``join`` and band
 simplicity follow from them by Garside identities, which the test suite
-checks against the raw definitions.
+checks against the raw definitions. An operation on two simples raises
+``ValueError`` when their strand counts differ.
 """
 
 from __future__ import annotations
@@ -211,6 +212,8 @@ def _labels_to_perm(labels: Sequence[int], n: int) -> bytes:
 
 def meet(kind: int, s: bytes, t: bytes) -> bytes:
     n = len(s)
+    if len(t) != n:
+        raise ValueError(f"simples of {n} and {len(t)} strands")
     if kind == KIND_BKL:
         # Common refinement of the two partitions; the intersection of
         # non-crossing partitions is non-crossing.
@@ -271,6 +274,8 @@ def left_complement(kind: int, s: bytes) -> bytes:
 
 def quotient_left(s: bytes, t: bytes) -> bytes:
     """The permutation ``q`` with ``s * q = t`` (divisibility not checked)."""
+    if len(t) != len(s):
+        raise ValueError(f"simples of {len(s)} and {len(t)} strands")
     return compose(invert(s), t)
 
 
@@ -281,6 +286,8 @@ def quotient_left(s: bytes, t: bytes) -> bytes:
 def make_left_weighted(kind: int, s: bytes, p: bytes) -> tuple[bytes, bytes]:
     """Slide as much of ``p`` as possible into ``s``; the product is kept."""
     n = len(s)
+    if len(p) != n:
+        raise ValueError(f"simples of {n} and {len(p)} strands")
     if kind == KIND_BKL:
         b = meet(kind, right_complement(kind, s), p)
         if b == identity_perm(n):

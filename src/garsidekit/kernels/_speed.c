@@ -7,8 +7,8 @@
  * spend their kernel time there, and nowhere else. ``peel_lengths`` scores
  * a batch of products p * target by length without building them, for the
  * beam step and the ranking. The lattice operations on single simples
- * (meet, complements, left-weighting) live here only as static helpers of
- * those five; their Python entry points are the pure twin's.
+ * (the band meet, complements, left-weighting) live here only as static
+ * helpers of those five; their Python entry points are the pure twin's.
  *
  * Every function here has the same name, positional signature and result
  * as its namesake in ``_pure.py``, which is the reference; the test suite
@@ -278,49 +278,27 @@ fill_atom(int kind, int n, int a, u8 *out)
     out[s] = (u8)t;
 }
 
-/* Meet into ``out``; returns 1 when the meet is the identity. */
+/* Meet of two band simples into ``out``; returns 1 when it is the
+ * identity. */
 static int
-meet_into(int kind, const u8 *s, const u8 *t, u8 *out, int n)
+meet_into(const u8 *s, const u8 *t, u8 *out, int n)
 {
-    u8 u[MAXN], v[MAXN], mi[MAXN], ls[MAXN], lt[MAXN], last[MAXN], x;
-    int i, j, moved, ident = 1;
-    if (kind == KIND_BKL) {
-        /* Common refinement of the two partitions: the slots sharing both
-         * cycle labels form one upward cycle, named by its first slot j.
-         * Each slot closes the cycle until a later one joins it. */
-        cycle_labels(s, ls, n);
-        cycle_labels(t, lt, n);
-        for (i = 0; i < n; i++) {
-            for (j = 0; ls[j] != ls[i] || lt[j] != lt[i]; j++)
-                ;
-            out[i] = (u8)j;
-            if (j < i)
-                out[last[j]] = (u8)i;
-            last[j] = (u8)i;
-        }
-        return is_identity(out, n);
-    }
+    u8 ls[MAXN], lt[MAXN], last[MAXN];
+    int i, j;
+    /* Common refinement of the two partitions: the slots sharing both
+     * cycle labels form one upward cycle, named by its first slot j.
+     * Each slot closes the cycle until a later one joins it. */
+    cycle_labels(s, ls, n);
+    cycle_labels(t, lt, n);
     for (i = 0; i < n; i++) {
-        u[i] = s[i];
-        v[i] = t[i];
-        out[i] = mi[i] = (u8)i;
+        for (j = 0; ls[j] != ls[i] || lt[j] != lt[i]; j++)
+            ;
+        out[i] = (u8)j;
+        if (j < i)
+            out[last[j]] = (u8)i;
+        last[j] = (u8)i;
     }
-    /* Greedy common-descent peel; any peel order reaches the gcd. */
-    do {
-        moved = 0;
-        for (i = 0; i < n - 1; i++) {
-            if (u[i] > u[i + 1] && v[i] > v[i + 1]) {
-                x = u[i], u[i] = u[i + 1], u[i + 1] = x;
-                x = v[i], v[i] = v[i + 1], v[i + 1] = x;
-                out[mi[i]] = (u8)(i + 1);
-                out[mi[i + 1]] = (u8)i;
-                x = mi[i], mi[i] = mi[i + 1], mi[i + 1] = x;
-                moved = 1;
-                ident = 0;
-            }
-        }
-    } while (moved);
-    return ident;
+    return is_identity(out, n);
 }
 
 /* Left-weight the pair (s, p) into (s2, p2), keeping the product; returns 1
@@ -332,7 +310,7 @@ slide_into(int kind, const u8 *s, const u8 *p, u8 *s2, u8 *p2, int n)
     int i, moved = 0, scanning = 1;
     if (kind == KIND_BKL) {
         fill_right_complement(kind, s, rc, n);
-        if (meet_into(kind, rc, p, b, n))
+        if (meet_into(rc, p, b, n))
             return 0;
         fill_invert(b, bi, n);
         for (i = 0; i < n; i++) {

@@ -61,10 +61,10 @@ class TestGeodesicLength:
         assert calls == []
 
     def test_delta_power_outside_16_bits(self):
+        # In B_2 the one atom is delta, so a word's length is its letter count.
         b2 = artin_structure(2)
-        for w in (b2.word([(0, 1)] * 2**15), b2.word([(0, -1)] * (2**15 + 1))):
-            with pytest.raises(GuardExceeded):
-                geodesic_length(w)
+        assert geodesic_length(b2.word([(0, 1)] * 2**15)) == 2**15
+        assert geodesic_length(b2.word([(0, -1)] * (2**15 + 1))) == 2**15 + 1
 
     def test_node_guard(self, b3):
         with pytest.raises(GuardExceeded):
@@ -103,8 +103,16 @@ class TestBall:
 
     def test_lookup_raw_outside_16_bit_delta_power(self, b3):
         ball = enumerate_ball(b3, 2)
-        for k in (1 << 15, -(1 << 15) - 1):
+        for k in (1 << 15, -(1 << 15) - 1, 2**70, -(2**70)):
             assert ball.lookup_raw(k, ()) is None
+
+    @pytest.mark.parametrize("make", [artin_structure, bkl_structure])
+    def test_b2_ball_beyond_16_bit_delta_power(self, make):
+        # B_2 is infinite cyclic on delta: the ball is delta^j for |j| <= r.
+        radius = 2**15 + 1
+        ball = enumerate_ball(make(2), radius)
+        assert len(ball) == 2 * radius + 1
+        assert ball.lookup(make(2).word([(0, -1)] * radius)) == radius
 
     def test_items_round_trip(self, b3):
         ball = enumerate_ball(b3, 3)
