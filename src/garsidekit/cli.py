@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .artin import artin_structure
 from .bkl import bkl_structure
@@ -59,8 +60,9 @@ def _cmd_len(args) -> int:
 def _cmd_oracle(args) -> int:
     structure = _structure(args.structure, args.strands)
     word = parse_word(args.word, structure)
+    deadline = time.monotonic() + args.timeout if args.timeout is not None else None
     try:
-        print(geodesic_length(word, max_radius=args.max))
+        print(geodesic_length(word, max_radius=args.max, deadline=deadline))
     except NotFound as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return 1
@@ -166,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="search radius (default: min(letters, l_R), l_R the rational length)",
     )
+    oracle.add_argument("--timeout", type=float, default=None, help="seconds")
     oracle.add_argument("word", nargs="?", default="")
     oracle.set_defaults(func=_cmd_oracle)
 

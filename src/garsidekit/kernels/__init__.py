@@ -1,11 +1,13 @@
 """Kernel backend selection.
 
 The pure Python twin ``_pure`` is the reference for every kernel. The C
-extension ``_speed`` compiles only the five normal-form kernels that the
+extension ``_speed`` compiles only the six normal-form kernels that the
 solver, the ranking and the oracle spend their kernel time in:
-``word_to_nf``, ``multiply_nf``, ``invert_nf``, ``nf_lengths`` and
+``word_to_nf``, ``multiply_nf``, ``invert_nf``, ``nf_lengths``,
 ``peel_lengths``, which scores a batch of peels ``p * target`` by length
-without building the products. Both twins have identical semantics.
+without building the products, and ``expand_level``, one breadth-first
+step of the oracle over packed normal forms. Both twins have identical
+semantics.
 The compiled backend is preferred when importable; set
 ``GARSIDEKIT_PURE=1`` to force the pure one (useful for debugging).
 
@@ -41,11 +43,13 @@ from ._pure import (
     left_divides,
     make_left_weighted,
     meet,
+    pack_nf,
     quotient_left,
     right_complement,
     simple_len,
     simple_to_atoms,
     tau_simple,
+    unpack_nf,
 )
 
 _impl: ModuleType = _pure
@@ -62,6 +66,7 @@ multiply_nf = _impl.multiply_nf
 invert_nf = _impl.invert_nf
 nf_lengths = _impl.nf_lengths
 peel_lengths = _impl.peel_lengths
+expand_level = _impl.expand_level
 
 
 def backends() -> dict[str, ModuleType]:

@@ -38,6 +38,8 @@ checks against the raw definitions. An operation on two simples raises
 
 from __future__ import annotations
 
+import functools
+import struct
 from typing import Iterable, Sequence
 
 KIND_ARTIN = 0
@@ -499,6 +501,82 @@ def peel_lengths(
         nf_lengths(kind, n, *multiply_nf(kind, n, k1, f1, k, f))[rational]
         for k1, f1 in peels
     )
+
+
+# ---------------------------------------------------------------------------
+# Packed normal forms and the oracle's breadth-first step
+
+_POWER = struct.Struct(">q")
+
+
+def pack_nf(k: int, factors: Sequence[bytes]) -> bytes:
+    """One ``bytes`` blob: ``k`` as 8 signed big-endian bytes, then the
+    factors back to back."""
+    return _POWER.pack(k) + b"".join(factors)
+
+
+@functools.cache
+def _layout(n: int, r: int) -> struct.Struct:
+    """The packing of a normal form of ``r`` factors of ``n`` bytes."""
+    return struct.Struct(">q" + f"{n}s" * r)
+
+
+def unpack_nf(blob: bytes, n: int) -> tuple[int, tuple[bytes, ...]]:
+    """Inverse of :func:`pack_nf`; the factors are not checked."""
+    if not isinstance(blob, bytes):
+        raise TypeError(f"a packed normal form must be bytes, not {type(blob).__name__}")
+    size = len(blob) - _POWER.size
+    if size < 0 or (size % n if n else size):
+        raise ValueError(f"a packed normal form of {len(blob)} bytes, not 8 + r*{n}")
+    fields = _layout(n, size // n if n else 0).unpack(blob)
+    return fields[0], fields[1:]
+
+
+def expand_level(
+    kind: int,
+    n: int,
+    frontier: Iterable[bytes],
+    moves: Sequence[tuple[int, Sequence[bytes]]],
+    table: dict[bytes, int],
+    level: int,
+    goal: bytes | None,
+    max_nodes: int,
+) -> list[bytes] | None:
+    """One breadth-first step over packed normal forms.
+
+    Each child ``parent * move`` (``multiply_nf``, packed by ``pack_nf``)
+    that is not yet a key of ``table`` is stored there with the value
+    ``level`` and appended to the returned next frontier. Returns None at
+    once, without storing it, when a new child equals ``goal``. Stops after
+    the first parent whose children bring ``len(table)`` above
+    ``max_nodes``, and returns the children found so far.
+    """
+    _check_bounds(n)
+    if type(table) is not dict:
+        raise TypeError(f"table must be a dict, not {type(table).__name__}")
+    if goal is not None and not isinstance(goal, bytes):
+        raise TypeError(f"goal must be bytes or None, not {type(goal).__name__}")
+    # The compiled twin reads both as C long longs.
+    if not (0 <= level < 2**63 and 0 <= max_nodes < 2**63):
+        raise ValueError(f"level {level} or max_nodes {max_nodes} outside 0..2**63-1")
+    for mk, mf in moves:
+        _check_bounds(n, mk)
+        _check_factors(n, mf)
+    grown = []
+    for parent in frontier:
+        k, factors = unpack_nf(parent, n)
+        _check_bounds(n, k)
+        _check_factors(n, factors)
+        for mk, mf in moves:
+            child = pack_nf(*multiply_nf(kind, n, k, factors, mk, mf))
+            if child not in table:
+                if child == goal:
+                    return None
+                table[child] = level
+                grown.append(child)
+        if len(table) > max_nodes:
+            break
+    return grown
 
 
 def simple_to_atoms(kind: int, p: bytes) -> tuple[int, ...]:

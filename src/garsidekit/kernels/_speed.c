@@ -1,14 +1,17 @@
 /*
- * Compiled kernels: the five normal-form operations of ``_pure``, written
+ * Compiled kernels: the six normal-form operations of ``_pure``, written
  * against the CPython C API.
  *
- * Only ``word_to_nf``, ``multiply_nf``, ``invert_nf``, ``nf_lengths`` and
- * ``peel_lengths`` are compiled: the beam solver, the ranking and the oracle
- * spend their kernel time there, and nowhere else. ``peel_lengths`` scores
- * a batch of products p * target by length without building them, for the
- * beam step and the ranking. The lattice operations on single simples
- * (the band meet, complements, left-weighting) live here only as static
- * helpers of those five; their Python entry points are the pure twin's.
+ * Only ``word_to_nf``, ``multiply_nf``, ``invert_nf``, ``nf_lengths``,
+ * ``peel_lengths`` and ``expand_level`` are compiled: the beam solver, the
+ * ranking and the oracle spend their kernel time there, and nowhere else.
+ * ``peel_lengths`` scores a batch of products p * target by length without
+ * building them, for the beam step and the ranking. ``expand_level`` is
+ * one level of the oracle's breadth-first search: it multiplies packed
+ * normal forms by the signed atoms and stores the new ones in the caller's
+ * dict. The lattice operations on single simples (the band meet,
+ * complements, left-weighting) live here only as static helpers of those
+ * six; their Python entry points are the pure twin's.
  *
  * Every function here has the same name, positional signature and result
  * as its namesake in ``_pure.py``, which is the reference; the test suite
@@ -22,7 +25,9 @@
  * Every entry point checks its arguments before it touches memory: the
  * kind is 0 or 1, a strand count lies in 0..256 (``core.MAX_STRANDS``, the
  * most a byte can label), every factor it reads is ``bytes`` holding a
- * permutation of range(n), and every atom index is in range. A bad argument
+ * permutation of range(n), every atom index is in range, and a packed
+ * normal form (``_pure.pack_nf``) has 8 + r*n bytes, a delta power in range
+ * and permutations for factors. A bad argument
  * raises ``TypeError``, ``ValueError`` or ``OverflowError``. Integers must
  * be ``int``, so reading one runs no Python code, and nothing here calls
  * back into the pure twin.
@@ -102,14 +107,34 @@ power_arg(PyObject *o, long long *k)
     return long_arg(o, -MAX_POWER, MAX_POWER, k);
 }
 
+/* 1 if the n bytes at ``p`` are a permutation of range(n), else 0 with an
+ * exception set. */
+static int
+perm_ok(const u8 *p, int n)
+{
+    u8 seen[MAXN];
+    int i;
+    /* Clear only the n slots in use: gcc 12 flags memset(seen, 0, n) with a
+     * false -Wstringop-overflow once inlined, and clearing all MAXN bytes
+     * made the normal-form kernels about 1.5x slower. */
+    for (i = 0; i < n; i++)
+        seen[i] = 0;
+    for (i = 0; i < n; i++) {
+        if (p[i] >= n || seen[p[i]]) {
+            PyErr_Format(PyExc_ValueError, "not a permutation of range(%d)", n);
+            return 0;
+        }
+        seen[p[i]] = 1;
+    }
+    return 1;
+}
+
 /* The bytes of ``o`` if it holds a permutation of range(n); else NULL with
  * an exception set. */
 static const u8 *
 perm_arg(PyObject *o, int n)
 {
-    u8 seen[MAXN];
     const u8 *p;
-    int i;
     if (!PyBytes_Check(o)) {
         PyErr_Format(PyExc_TypeError, "a permutation must be bytes, not %.100s",
                      Py_TYPE(o)->tp_name);
@@ -121,19 +146,7 @@ perm_arg(PyObject *o, int n)
         return NULL;
     }
     p = (const u8 *)PyBytes_AS_STRING(o);
-    /* Clear only the n slots in use: gcc 12 flags memset(seen, 0, n) with a
-     * false -Wstringop-overflow once inlined, and clearing all MAXN bytes
-     * made the normal-form kernels about 1.5x slower. */
-    for (i = 0; i < n; i++)
-        seen[i] = 0;
-    for (i = 0; i < n; i++) {
-        if (p[i] >= n || seen[p[i]]) {
-            PyErr_Format(PyExc_ValueError, "not a permutation of range(%d)", n);
-            return NULL;
-        }
-        seen[p[i]] = 1;
-    }
-    return p;
+    return perm_ok(p, n) ? p : NULL;
 }
 
 /* ------------------------------------------------------------------------
@@ -706,20 +719,19 @@ py_nf_lengths(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     return pair(PyLong_FromLongLong(greedy), PyLong_FromLongLong(greedy - 2 * head));
 }
 
-/* Check the peel ``o``, a (k, factors) pair, and load its factors into
- * ``fs`` conjugated by delta^k2; its delta power goes to ``k``. */
+/* Check the normal form ``o``, a (k, factors) pair, and append its factors
+ * to ``fs`` conjugated by delta^k2; its delta power goes to ``k``. */
 static int
-peel_arg(int kind, int n, flist *fs, PyObject *o, long long k2, long long *k)
+nf_arg(int kind, int n, flist *fs, PyObject *o, long long k2, long long *k)
 {
     PyObject *t = PySequence_Tuple(o), *f;
     int ok = 0;
     if (t == NULL)
         return 0;
     if (PyTuple_GET_SIZE(t) != 2)
-        PyErr_SetString(PyExc_ValueError, "a peel is a (k, factors) pair");
+        PyErr_SetString(PyExc_ValueError, "a normal form is a (k, factors) pair");
     else if (power_arg(PyTuple_GET_ITEM(t, 0), k)
              && (f = PySequence_Tuple(PyTuple_GET_ITEM(t, 1))) != NULL) {
-        fs->r = 0;
         ok = push_factors(kind, n, fs, f, k2, -1);
         Py_DECREF(f);
     }
@@ -755,7 +767,8 @@ py_peel_lengths(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     for (i = 0; i < PyTuple_GET_SIZE(peels); i++) {
         /* The peel's factors twisted by delta^k, then the target's,
          * normalized as in multiply_nf. */
-        if (!peel_arg(kind, n, &fs, PyTuple_GET_ITEM(peels, i), k, &k1)
+        fs.r = 0;
+        if (!nf_arg(kind, n, &fs, PyTuple_GET_ITEM(peels, i), k, &k1)
             || !flist_reserve(&fs, fs.r + tgt.r, n))
             goto done;
         r1 = fs.r;
@@ -788,6 +801,166 @@ done:
     return out;
 }
 
+/* Bytes in a packed normal form before its factors: the delta power, signed
+ * and big-endian, as ``_pure.pack_nf`` writes it. */
+#define POWER_BYTES 8
+
+/* Check the packed normal form ``o``; its delta power goes to ``k``, its
+ * ``r`` factors stay in place at ``f``. */
+static int
+blob_arg(int n, PyObject *o, long long *k, const u8 **f, Py_ssize_t *r)
+{
+    const u8 *p;
+    unsigned long long u = 0;
+    Py_ssize_t size, i;
+    if (!PyBytes_Check(o)) {
+        PyErr_Format(PyExc_TypeError, "a packed normal form must be bytes, not %.100s",
+                     Py_TYPE(o)->tp_name);
+        return 0;
+    }
+    size = PyBytes_GET_SIZE(o) - POWER_BYTES;
+    if (size < 0 || (n > 0 ? size % n : size) != 0) {
+        PyErr_Format(PyExc_ValueError, "a packed normal form of %zd bytes, not 8 + r*%d",
+                     PyBytes_GET_SIZE(o), n);
+        return 0;
+    }
+    p = (const u8 *)PyBytes_AS_STRING(o);
+    for (i = 0; i < POWER_BYTES; i++)
+        u = u << 8 | p[i];
+    *k = (long long)u;
+    if (*k < -MAX_POWER || *k > MAX_POWER) {
+        PyErr_Format(PyExc_ValueError, "%lld outside %lld..%lld", *k, -MAX_POWER, MAX_POWER);
+        return 0;
+    }
+    *f = p + POWER_BYTES;
+    *r = n > 0 ? size / n : 0;
+    for (i = 0; i < *r; i++)
+        if (!perm_ok(*f + i * n, n))
+            return 0;
+    return 1;
+}
+
+/* The packed normal form of ``(k, factors of fs)``. */
+static PyObject *
+blob_object(int n, long long k, const flist *fs)
+{
+    PyObject *o = PyBytes_FromStringAndSize(NULL, POWER_BYTES + fs->r * n);
+    u8 *p;
+    int i;
+    if (o == NULL)
+        return NULL;
+    p = (u8 *)PyBytes_AS_STRING(o);
+    for (i = POWER_BYTES - 1; i >= 0; i--, k = (long long)((unsigned long long)k >> 8))
+        p[i] = (u8)k;
+    memcpy(p + POWER_BYTES, fs->perm, (size_t)(fs->r * n));
+    return o;
+}
+
+/* One breadth-first step: each child parent * move of a packed parent in
+ * ``frontier`` that is not a key of ``table`` is stored there with the
+ * value ``level`` and listed in the result. Returns None, storing nothing
+ * more, at the first new child equal to ``goal``; stops after the first
+ * parent whose children bring the table above ``max_nodes``. Each product
+ * is normalized as in multiply_nf, on the parent's bytes. */
+static PyObject *
+py_expand_level(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *frontier = NULL, *moves = NULL, *table, *goal, *grown = NULL, *child, *out = NULL;
+    flist mv = {NULL, NULL, 0, 0}, fs = {NULL, NULL, 0, 0};
+    u8 buf[MAXN];
+    const u8 *pf, *f;
+    long long level, max_nodes, k1, k, *mk = NULL;
+    Py_ssize_t i, j, r1, count, *mstart = NULL;
+    int kind, n, found;
+    if (!nargs_ok("expand_level", nargs, 8) || !kind_arg(args[0], &kind)
+        || !strands_arg(args[1], &n) || !long_arg(args[5], 0, LLONG_MAX, &level)
+        || !long_arg(args[7], 0, LLONG_MAX, &max_nodes))
+        return NULL;
+    table = args[4];
+    goal = args[6];
+    if (!PyDict_CheckExact(table)) {
+        PyErr_Format(PyExc_TypeError, "table must be a dict, not %.100s", Py_TYPE(table)->tp_name);
+        return NULL;
+    }
+    if (goal != Py_None && !PyBytes_Check(goal)) {
+        PyErr_Format(PyExc_TypeError, "goal must be bytes or None, not %.100s",
+                     Py_TYPE(goal)->tp_name);
+        return NULL;
+    }
+    /* Tuples of their own, so that no code run by a dict lookup can change
+     * what is being read. */
+    if ((frontier = PySequence_Tuple(args[2])) == NULL
+        || (moves = PySequence_Tuple(args[3])) == NULL)
+        goto done;
+    count = PyTuple_GET_SIZE(moves);
+    mk = PyMem_Malloc((size_t)(count + 1) * sizeof *mk);
+    mstart = PyMem_Malloc((size_t)(count + 1) * sizeof *mstart);
+    if (mk == NULL || mstart == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* The moves' factors back to back in ``mv``: move j's run from
+     * mstart[j] to mstart[j + 1]. */
+    if (!flist_reserve(&mv, count, n))
+        goto done;
+    for (j = 0; j < count; j++) {
+        mstart[j] = mv.r;
+        if (!nf_arg(kind, n, &mv, PyTuple_GET_ITEM(moves, j), 0, &mk[j]))
+            goto done;
+    }
+    mstart[count] = mv.r;
+    if ((grown = PyList_New(0)) == NULL)
+        goto done;
+    for (i = 0; i < PyTuple_GET_SIZE(frontier); i++) {
+        if (!blob_arg(n, PyTuple_GET_ITEM(frontier, i), &k1, &pf, &r1)
+            || !flist_reserve(&fs, r1 + mv.r, n))
+            goto done;
+        for (j = 0; j < count; j++) {
+            /* The move's delta power commutes through the parent's
+             * factors, twisting them; then the seam is normalized. */
+            fs.r = 0;
+            for (f = pf; f < pf + r1 * n; f += n)
+                flist_push(&fs, twist(kind, f, buf, n, mk[j]) ? buf : f, n, -1);
+            memcpy(SLOT(&fs, r1, n), SLOT(&mv, mstart[j], n),
+                   (size_t)((mstart[j + 1] - mstart[j]) * n));
+            fs.r += mstart[j + 1] - mstart[j];
+            k = k1 + mk[j];
+            if (r1 > 0 && fs.r > r1)
+                k += normalize(kind, n, &fs, r1 - 1);
+            if ((child = blob_object(n, k, &fs)) == NULL)
+                goto done;
+            found = PyDict_Contains(table, child);
+            if (found == 0 && goal != Py_None && PyBytes_GET_SIZE(child) == PyBytes_GET_SIZE(goal)
+                && memcmp(PyBytes_AS_STRING(child), PyBytes_AS_STRING(goal),
+                          (size_t)PyBytes_GET_SIZE(goal)) == 0) {
+                Py_DECREF(child);
+                out = Py_NewRef(Py_None);
+                goto done;
+            }
+            if (found < 0
+                || (found == 0
+                    && (PyDict_SetItem(table, child, args[5]) < 0
+                        || PyList_Append(grown, child) < 0))) {
+                Py_DECREF(child);
+                goto done;
+            }
+            Py_DECREF(child);
+        }
+        if (PyDict_GET_SIZE(table) > max_nodes)
+            break;
+    }
+    out = Py_NewRef(grown);
+done:
+    PyMem_Free(mk);
+    PyMem_Free(mstart);
+    flist_free(&mv);
+    flist_free(&fs);
+    Py_XDECREF(grown);
+    Py_XDECREF(frontier);
+    Py_XDECREF(moves);
+    return out;
+}
+
 static PyObject *
 py_bkl_atom_index(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -815,6 +988,8 @@ static PyMethodDef speed_methods[] = {
                        "Greedy and rational atom lengths of a normal form."),
     KERNEL(peel_lengths, "peel_lengths(kind, n, peels, k, f, rational, /)\n--\n\n"
                          "Greedy or rational length of p * (k, f) for each normal form p."),
+    KERNEL(expand_level, "expand_level(kind, n, frontier, moves, table, level, goal, max_nodes, /)\n--\n\n"
+                         "One breadth-first step over packed normal forms."),
     KERNEL(bkl_atom_index, "bkl_atom_index(t, s, /)\n--\n\n"
                            "Flat index of the band atom joining slots s < t."),
     {NULL, NULL, 0, NULL},

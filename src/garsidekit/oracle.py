@@ -4,19 +4,23 @@ One search core serves both entry points: ``enumerate_ball`` keeps every
 state it reaches, and ``geodesic_length`` stops at the first node that is
 its target. The core walks the Cayley graph over the signed atoms level by
 level, deduplicating states by greedy normal form. Each state is held
-once, as one ``bytes`` blob: the delta power as 8 signed big-endian bytes
-(``>q``, wide enough for every power the kernels accept), then the factor
-permutations back to back, ``n`` bytes each. The ball's table is the record
-of visited states, and the frontier holds the table's own keys; a parent
-is unpacked only while it is expanded.
+once, as one ``bytes`` blob (``kernels.pack_nf``): the delta power as 8
+signed big-endian bytes, wide enough for every power the kernels accept,
+then the factor permutations back to back, ``n`` bytes each. The ball's
+table is the record of visited states, and the frontier holds the table's
+own keys. A level is expanded by ``kernels.expand_level``, one kernel call
+per slice of ``SLICE`` parents, which multiplies, packs and stores the
+children itself.
 
 Finding the geodesic length is NP-hard in general, so the search is
-exponential by nature and the one resource guard is the work it does: the
-core raises :class:`GuardExceeded` once it stores more than ``max_nodes``
-states (``MAX_NODES``: two million). On the compiled backend the whole
-1.9M-state band B_5 ball of radius 6 peaks at about 260 MB of resident
-memory, and the default search for ``(s1 s2^-1)^9`` in Artin B_3, which
-stops near the budget, at about 290 MB. A negative radius raises
+exponential by nature and its resource guards are the work it does and the
+time it takes: the core raises :class:`GuardExceeded` once it stores more
+than ``max_nodes`` states (``MAX_NODES``: two million), or, given a
+``deadline``, when the clock read before a slice is past it. On the
+compiled backend the whole 1.9M-state band B_5 ball of radius 6 takes about
+2 s and peaks at about 260 MB of resident memory, and the default search
+for ``(s1 s2^-1)^9`` in Artin B_3, which stops near the budget, about 1.5 s
+and 290 MB (2-CPU x86-64, CPython 3.11). A negative radius raises
 ``ValueError``. Without an explicit radius, ``geodesic_length`` searches
 to ``min(len(x), l_R(x))``: the rational normal form written in atoms is
 a word of ``l_R`` letters, so the default search always reaches its
@@ -27,34 +31,19 @@ nothing here pretends to scale past that.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import struct
+import time
 from collections.abc import Iterator
 
 from . import kernels
 from .core import BraidWord, GreedyNF, StructureDescriptor, _nf_from_raw
 from .errors import GuardExceeded, NotFound
+from .kernels import pack_nf, unpack_nf
 
 MAX_NODES = 2_000_000
+# Parents per kernel call: the deadline is read between slices.
+SLICE = 512
 
 RawNF = tuple[int, tuple[bytes, ...]]
-
-_POWER = struct.Struct(">q")
-
-
-def pack_nf(k: int, factors: tuple[bytes, ...]) -> bytes:
-    return _POWER.pack(k) + b"".join(factors)
-
-
-@functools.cache
-def _layout(n: int, size: int) -> struct.Struct:
-    """The packing of a ``size``-byte state of ``n``-byte factors."""
-    return struct.Struct(">q" + f"{n}s" * ((size - _POWER.size) // n))
-
-
-def unpack_nf(blob: bytes, n: int) -> RawNF:
-    fields = _layout(n, len(blob)).unpack(blob)
-    return fields[0], fields[1:]
 
 
 def _signed_atom_nfs(structure: StructureDescriptor) -> list[RawNF]:
@@ -107,12 +96,16 @@ def _bfs(
     radius: int,
     max_nodes: int,
     target: RawNF | None = None,
+    deadline: float | None = None,
 ) -> tuple[dict[bytes, int], int | None]:
     """Breadth-first search from the identity, level by level.
 
     Returns the packed states reached with their distances, and the level
     at which ``target`` was first generated (None if it never was). The
-    search stops at that node, without finishing its level.
+    search stops at that node, without finishing its level. Each level is
+    expanded by ``kernels.expand_level`` in slices of ``SLICE`` parents;
+    with a ``deadline`` (a ``time.monotonic()`` value) the clock is read
+    before each slice.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -132,17 +125,16 @@ def _bfs(
     moves = _signed_atom_nfs(structure)
     frontier = [origin]
     for level in range(1, radius + 1):
-        next_frontier = []
-        for parent in frontier:
-            k, factors = unpack_nf(parent, n)
-            for mk, mf in moves:
-                nk, nf = kernels.multiply_nf(code, n, k, factors, mk, mf)
-                blob = pack_nf(nk, nf)
-                if blob not in table:
-                    if blob == goal:
-                        return table, level
-                    table[blob] = level
-                    next_frontier.append(blob)
+        next_frontier: list[bytes] = []
+        for start in range(0, len(frontier), SLICE):
+            if deadline is not None and time.monotonic() > deadline:
+                raise GuardExceeded(f"search hit its deadline at radius {level}")
+            grown = kernels.expand_level(
+                code, n, frontier[start : start + SLICE], moves, table, level, goal, max_nodes
+            )
+            if grown is None:
+                return table, level
+            next_frontier += grown
             if len(table) > max_nodes:
                 raise GuardExceeded(
                     f"search exceeded {max_nodes} nodes at radius {level}"
@@ -152,22 +144,33 @@ def _bfs(
 
 
 def enumerate_ball(
-    structure: StructureDescriptor, radius: int, max_nodes: int = MAX_NODES
+    structure: StructureDescriptor,
+    radius: int,
+    max_nodes: int = MAX_NODES,
+    deadline: float | None = None,
 ) -> BallIndex:
-    """BFS ball of the given radius around the identity."""
-    table, _ = _bfs(structure, radius, max_nodes)
+    """BFS ball of the given radius around the identity.
+
+    ``deadline`` is an absolute ``time.monotonic()`` value; past it the
+    search raises :class:`GuardExceeded`.
+    """
+    table, _ = _bfs(structure, radius, max_nodes, deadline=deadline)
     return BallIndex(structure=structure, radius=radius, table=table)
 
 
 def geodesic_length(
-    x: BraidWord, max_radius: int | None = None, max_nodes: int = MAX_NODES
+    x: BraidWord,
+    max_radius: int | None = None,
+    max_nodes: int = MAX_NODES,
+    deadline: float | None = None,
 ) -> int:
     """Exact minimal letter count of ``x`` over the signed atoms.
 
     Searches outward level by level and stops as soon as the target's
     normal form appears. The default radius ``min(len(x), l_R(x))`` bounds
     the geodesic length, so only an explicit ``max_radius`` below it
-    raises :class:`NotFound`.
+    raises :class:`NotFound`. Past ``deadline``, an absolute
+    ``time.monotonic()`` value, the search raises :class:`GuardExceeded`.
     """
     structure = x.structure
     k, factors = x.raw_nf()
@@ -176,7 +179,7 @@ def geodesic_length(
             structure.kind_code, structure.strand_count, k, factors
         )
         max_radius = min(len(x), ell_r)
-    _, level = _bfs(structure, max_radius, max_nodes, (k, factors))
+    _, level = _bfs(structure, max_radius, max_nodes, (k, factors), deadline)
     if level is None:
         raise NotFound(f"no representative within {max_radius} letters")
     return level

@@ -137,6 +137,14 @@ class TestDispatch:
         )
         assert code == 1
 
+    def test_oracle_timeout_exit_2(self, capsys):
+        code = dispatch(["oracle", "--strands", "3", "--timeout", "0", "s1 s2 s1 s1 s2 s1"])
+        assert code == 2
+        assert "deadline" in capsys.readouterr().err
+        code = dispatch(["oracle", "--strands", "3", "--timeout", "600", "s1 s2 s1"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "3"
+
     def test_solve_success_and_failure(self, tmp_path, capsys):
         spec = {
             "template": ["x1", "p1", "x1^-1"],

@@ -11,9 +11,11 @@ import pytest
 import brute
 from garsidekit import kernels
 from garsidekit.artin import artin_structure
+from garsidekit.bkl import bkl_structure
 from garsidekit.experiments import ExperimentConfig, gen_sample, rank_generators
 from garsidekit.kernels import _pure
 from garsidekit.lengths import LengthMetric
+from garsidekit.oracle import enumerate_ball
 from garsidekit.solver import SolverConfig, memory_length_search
 from garsidekit.syntax import parse_word
 
@@ -276,6 +278,52 @@ class TestBackendEquivalence:
                             got = kit.peel_lengths(kind, n, peels, *target, rational)
                             assert got == expected, (kind, n, peels, target, rational)
 
+    @pytest.mark.parametrize(
+        "make,n,radius",
+        [(artin_structure, 3, 6), (bkl_structure, 3, 5), (artin_structure, 4, 5), (bkl_structure, 4, 4)],
+    )
+    def test_expand_level_against_pure(self, compiled_speed, make, n, radius, rng):
+        """Both twins grow the same table, in the same order, and return the
+        same next frontier, also when a goal or the node budget stops them
+        in the middle of a level."""
+        structure = make(n)
+        kind = structure.kind_code
+        moves = [
+            _pure.word_to_nf(kind, n, [(a, sign)])
+            for a in range(structure.atom_count)
+            for sign in (1, -1)
+        ]
+        ball = list(enumerate_ball(structure, radius).table.items())
+
+        def expand(frontier, seen, level, goal, max_nodes):
+            outcomes = []
+            for twin in (_pure, compiled_speed):
+                table = dict(seen)
+                grown = twin.expand_level(kind, n, frontier, moves, table, level, goal, max_nodes)
+                new = list(table)[len(seen) :]
+                if grown is not None:
+                    # The next frontier holds the table's own keys.
+                    assert len(grown) == len(new)
+                    assert all(a is b for a, b in zip(grown, new))
+                outcomes.append((list(table.items()), grown))
+            assert outcomes[0] == outcomes[1]
+            return outcomes[0]
+
+        for _ in range(4):
+            frontier = [blob for blob, _ in rng.sample(ball, min(60, len(ball)))]
+            seen = rng.sample(ball, len(ball) // 2)
+            level = rng.randrange(1, 2 * radius)
+            table, full = expand(frontier, seen, level, None, 10**9)
+            assert len(full) > 4
+            assert table[len(seen) :] == [(blob, level) for blob in full]
+            half = len(full) // 2
+            table, grown = expand(frontier, seen, level, full[half], 10**9)
+            assert grown is None
+            assert table[len(seen) :] == [(blob, level) for blob in full[:half]]
+            table, grown = expand(frontier, seen, level, None, len(seen) + half)
+            assert len(seen) + half < len(table) < len(seen) + len(full)
+            assert grown == full[: len(grown)]
+
     def test_products_share_untouched_factors(self, kit, rng):
         """A product hands back the right factors its left one leaves alone."""
         for kind in BOTH_KINDS:
@@ -297,11 +345,18 @@ class TestBackendEquivalence:
             assert shared > 0
 
 
-NF_KERNELS = ("word_to_nf", "multiply_nf", "invert_nf", "nf_lengths", "peel_lengths")
+NF_KERNELS = (
+    "word_to_nf",
+    "multiply_nf",
+    "invert_nf",
+    "nf_lengths",
+    "peel_lengths",
+    "expand_level",
+)
 
 
 class TestCompiledSet:
-    """Only the five normal-form kernels are compiled."""
+    """Only the six normal-form kernels are compiled."""
 
     def test_compiled_entry_points(self, compiled_speed):
         exported = {
@@ -429,6 +484,20 @@ BAD_CALLS = [
     "peel_lengths(0, 1000, [(0, ())], 0, (), 0)",
     "peel_lengths(0, 3, [(2**41, ())], 0, (), 1)",
     "peel_lengths(0, 3, [(0, ())], -2**41, (), 1)",
+    # Packed normal forms: 8 bytes of delta power, then factors of n bytes.
+    r"expand_level(0, 3, [bytes(7)], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
+    r"expand_level(0, 3, [bytes(8) + b'\x00\x01'], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
+    r"expand_level(0, 3, [bytes(8) + b'\x00\x00\x01'], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
+    r"expand_level(0, 3, [(2**41).to_bytes(8, 'big')], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
+    r"expand_level(0, 3, [(-2**41).to_bytes(8, 'big', signed=True)], [(0, ())], {}, 1, None, 10)",
+    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], [], 1, None, 10)",
+    r"expand_level(0, 3, ['\x00' * 8], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
+    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], {}, 1, 'x', 10)",
+    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], {}, -1, None, 10)",
+    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], {}, 1, None, -1)",
+    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x00\x09\x01',))], {}, 1, None, 10)",
+    "expand_level(0, 1000, [], [], {}, 1, None, 10)",
+    "expand_level(0, 3, [], [], {}, 1, None, 2**63)",
 ]
 
 PROBE = """

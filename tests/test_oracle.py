@@ -1,9 +1,12 @@
 """BFS oracle: exact values, growth, guards, metric consistency."""
 
+import collections
+import time
+
 import pytest
 
 from conftest import random_word
-from garsidekit import kernels
+from garsidekit import kernels, oracle
 from garsidekit.artin import artin_structure
 from garsidekit.bkl import bkl_structure
 from garsidekit.core import greedy_nf, recompose
@@ -46,13 +49,14 @@ class TestGeodesicLength:
 
     def test_infimum_exit_runs_no_search(self, b3, monkeypatch):
         calls = []
-        multiply_nf = kernels.multiply_nf
+        for name in ("multiply_nf", "expand_level"):
+            kernel = getattr(kernels, name)
 
-        def counting(*args):
-            calls.append(args)
-            return multiply_nf(*args)
+            def counting(*args, _kernel=kernel):
+                calls.append(args)
+                return _kernel(*args)
 
-        monkeypatch.setattr(kernels, "multiply_nf", counting)
+            monkeypatch.setattr(kernels, name, counting)
         # Each signed atom moves the delta power by at most one.
         with pytest.raises(NotFound):
             geodesic_length(parse_word("s1 s2 s1", b3) ** 3, max_radius=2)
@@ -71,6 +75,55 @@ class TestGeodesicLength:
             enumerate_ball(b3, 8, max_nodes=50)
         with pytest.raises(GuardExceeded):
             geodesic_length(parse_word("s1 s2 s1", b3) ** 2, max_nodes=50)
+
+    def test_deadline_between_slices(self, b3, monkeypatch):
+        # A fake clock advances one tick per reading, so the deadline falls
+        # at a fixed point of the search however fast the machine is. The
+        # search reads it before each slice of SLICE parents: every reading
+        # but the last is followed by exactly one expand_level call. The
+        # last level takes more than one slice, so a check once per level
+        # would let the search finish.
+        radius = 10
+        spheres = collections.Counter(enumerate_ball(b3, radius - 1).table.values())
+        slices = [-(-spheres[d] // oracle.SLICE) for d in range(radius)]
+        assert slices[-1] > 1
+        readings = sum(slices)
+
+        class TickingClock:
+            readings = 0
+
+            def monotonic(self):
+                self.readings += 1
+                return self.readings
+
+        clock = TickingClock()
+        monkeypatch.setattr(oracle, "time", clock)
+        expanded = []
+        expand_level = kernels.expand_level
+
+        def counting(*args):
+            expanded.append(clock.readings)
+            return expand_level(*args)
+
+        monkeypatch.setattr(kernels, "expand_level", counting)
+        with pytest.raises(GuardExceeded, match="deadline"):
+            enumerate_ball(b3, radius, deadline=readings - 0.5)
+        assert clock.readings == readings
+        assert expanded == list(range(1, readings))
+        clock.readings = 0
+        expanded.clear()
+        assert len(enumerate_ball(b3, radius, deadline=readings + 0.5)) == 11047
+
+    def test_past_deadline(self, b3):
+        with pytest.raises(GuardExceeded, match="deadline"):
+            enumerate_ball(b3, 3, deadline=0.0)
+        with pytest.raises(GuardExceeded, match="deadline"):
+            geodesic_length(parse_word("s1 s2 s1", b3), deadline=0.0)
+        # The exits that run no search never read the clock.
+        assert len(enumerate_ball(b3, 0, deadline=0.0)) == 1
+        assert geodesic_length(b3.word(), deadline=0.0) == 0
+        deadline = time.monotonic() + 600
+        assert geodesic_length(parse_word("s1 s2 s1", b3), deadline=deadline) == 3
 
     def test_negative_radius(self, b3):
         with pytest.raises(ValueError):
