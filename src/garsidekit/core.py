@@ -12,7 +12,6 @@ this module is safe to share across threads.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Iterable, Iterator, Union
 
 from . import kernels
@@ -389,21 +388,16 @@ def raw_rational_parts(
     twisted right complements on the inverted side; surplus delta powers
     stay as explicit delta factors of that side.
     """
+    dp = kernels.delta_perm(kind, n)
     if k >= 0:
-        dp = delta_perm_cached(kind, n)
         return (), (dp,) * k + factors
     m = -k
     r = len(factors)
-    neg = [delta_perm_cached(kind, n)] * max(m - r, 0)
+    neg = [dp] * max(m - r, 0)
     for j in range(min(m, r), 0, -1):
         twisted = kernels.tau_simple(kind, factors[j - 1], m - j)
         neg.append(kernels.right_complement(kind, twisted))
     return tuple(neg), factors[m:] if m < r else ()
-
-
-@functools.cache
-def delta_perm_cached(kind: int, n: int) -> bytes:
-    return kernels.delta_perm(kind, n)
 
 
 def rational_nf(g: GreedyNF) -> RationalNF:

@@ -54,10 +54,12 @@ MAX_POWER = 1 << 40
 # Permutation plumbing
 
 
+@functools.cache
 def identity_perm(n: int) -> bytes:
     return bytes(range(n))
 
 
+@functools.cache
 def delta_perm(kind: int, n: int) -> bytes:
     if kind == KIND_ARTIN:
         return bytes(n - 1 - i for i in range(n))
@@ -93,9 +95,22 @@ def atom_perm(kind: int, n: int, a: int) -> bytes:
     return bytes(p)
 
 
+_PAD = bytes(MAX_STRANDS)
+
+
 def compose(p: bytes, q: bytes) -> bytes:
-    """Product ``p * q``: apply ``p`` first, then ``q``."""
-    return bytes(q[x] for x in p)
+    """Product ``p * q``: apply ``p`` first, then ``q``.
+
+    ``q`` padded to 256 bytes is a ``bytes.translate`` table for ``p``.
+    """
+    if not (isinstance(p, bytes) and isinstance(q, bytes)):
+        raise ValueError("compose takes two bytes objects")
+    n = len(q)
+    if len(p) != n:
+        raise ValueError(f"permutations of {len(p)} and {n} strands")
+    if n and max(p) >= n:
+        raise ValueError(f"{p!r} has a byte outside range({n})")
+    return p.translate(q + _PAD[n:])
 
 
 def invert(p: bytes) -> bytes:
@@ -195,38 +210,28 @@ def left_divides(kind: int, s: bytes, t: bytes) -> bool:
     return meet(kind, s, t) == s
 
 
-def _labels_to_perm(labels: Sequence[int], n: int) -> bytes:
-    """Permutation with one upward cycle per label class."""
-    out = bytearray(range(n))
-    last: dict[int, int] = {}
-    first: dict[int, int] = {}
-    for i in range(n):
-        lab = labels[i]
-        if lab in last:
-            out[last[lab]] = i
-        else:
-            first[lab] = i
-        last[lab] = i
-    for lab, i in last.items():
-        out[i] = first[lab]
-    return bytes(out)
-
-
 def meet(kind: int, s: bytes, t: bytes) -> bytes:
     n = len(s)
     if len(t) != n:
         raise ValueError(f"simples of {n} and {len(t)} strands")
     if kind == KIND_BKL:
         # Common refinement of the two partitions; the intersection of
-        # non-crossing partitions is non-crossing.
-        ls = _cycle_labels(s)
-        lt = _cycle_labels(t)
-        reps: dict[tuple[int, int], int] = {}
-        labels = bytearray(n)
-        for i in range(n):
-            key = (ls[i], lt[i])
-            labels[i] = reps.setdefault(key, i)
-        return _labels_to_perm(labels, n)
+        # non-crossing partitions is non-crossing. Its blocks are the
+        # slots sharing a block of ``s`` and a block of ``t``, each walked
+        # upward as one cycle.
+        out = bytearray(n)
+        first: dict[tuple[int, int], int] = {}
+        last: dict[tuple[int, int], int] = {}
+        for i, block in enumerate(zip(_cycle_labels(s), _cycle_labels(t))):
+            j = last.get(block)
+            if j is None:
+                first[block] = i
+            else:
+                out[j] = i
+            last[block] = i
+        for block, j in last.items():
+            out[j] = first[block]
+        return bytes(out)
     # Greedily peel atoms dividing both arguments; any peel order yields
     # the same gcd.
     u = bytearray(s)
@@ -295,22 +300,25 @@ def make_left_weighted(kind: int, s: bytes, p: bytes) -> tuple[bytes, bytes]:
         if b == identity_perm(n):
             return s, p
         return compose(s, b), compose(invert(b), p)
-    # Transfer every atom that starts p and can extend s.
+    # Transfer every atom that starts p and can extend s. A transfer at i
+    # changes only the pairs at i - 1 and i + 1, so the scan steps back
+    # one slot after it; any transfer order ends at the same pair.
     sm = bytearray(s)
     si = bytearray(invert(s))
     pm = bytearray(p)
     moved = False
-    scanning = True
-    while scanning:
-        scanning = False
-        for i in range(n - 1):
-            if pm[i] > pm[i + 1] and si[i] < si[i + 1]:
-                pm[i], pm[i + 1] = pm[i + 1], pm[i]
-                pi, pj = si[i], si[i + 1]
-                sm[pi], sm[pj] = i + 1, i
-                si[i], si[i + 1] = pj, pi
-                moved = True
-                scanning = True
+    i = 0
+    while i < n - 1:
+        if pm[i] > pm[i + 1] and si[i] < si[i + 1]:
+            pm[i], pm[i + 1] = pm[i + 1], pm[i]
+            pi, pj = si[i], si[i + 1]
+            sm[pi], sm[pj] = i + 1, i
+            si[i], si[i + 1] = pj, pi
+            moved = True
+            if i > 0:
+                i -= 1
+        else:
+            i += 1
     if not moved:
         return s, p
     return bytes(sm), bytes(pm)

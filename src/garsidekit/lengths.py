@@ -6,12 +6,18 @@ the band form doubles as an estimator of the minimal Artin length, with
 distortion linear in the strand count on both sides; the exact minimal
 length is only available from the brute-force oracle at small scale and is
 deliberately not exposed as a cheap function here.
+
+Each word is normalized at most once per alphabet: its own form is stored
+by :meth:`BraidWord.raw_nf` and the form of its translation into the
+other alphabet by :func:`metric_length`, so the four lengths of one word
+cost two ``word_to_nf`` calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 
 from . import kernels
 from .bkl import artin_to_bkl, bkl_structure, bkl_to_artin
@@ -85,18 +91,31 @@ def to_metric_structure(x: BraidWord, metric: LengthMetric) -> BraidWord:
 
 def metric_length(x: BraidWord, metric: LengthMetric) -> int:
     """Length of ``x`` under any of the four metrics, translating alphabets
-    when the word and the metric live in different structures."""
-    x = to_metric_structure(x, metric)
-    return rational_length(x) if metric.rational else greedy_length(x)
+    when the word and the metric live in different structures.
+
+    The translation's greedy form is stored on ``x`` like ``raw_nf``'s,
+    outside the dataclass fields; the translated word is not kept.
+    """
+    kind = metric.structure_kind
+    if x.structure.kind == kind:
+        nf = x.raw_nf()
+    else:
+        nf = x.__dict__.get("_translated_nf")
+        if nf is None:
+            nf = to_metric_structure(x, metric).raw_nf()
+            object.__setattr__(x, "_translated_nf", nf)
+    code = kernels.KIND_BKL if kind == BKL else kernels.KIND_ARTIN
+    return kernels.nf_lengths(code, x.structure.strand_count, *nf)[metric.rational]
 
 
 def cross_rational_bkl(x: BraidWord) -> int:
     """Rational band length of an Artin word: the minimal-length estimator."""
     if x.structure.kind != ARTIN:
         raise StructureMismatch("cross estimator expects an Artin word")
-    return rational_length(artin_to_bkl(x))
+    return metric_length(x, LengthMetric.RATIONAL_BKL)
 
 
+@functools.cache
 def alpha(n: int) -> int:
     """Largest Artin letter count over the band-atom translations."""
     structure = bkl_structure(n)

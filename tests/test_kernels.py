@@ -115,6 +115,40 @@ class TestComplements:
                 assert twice == kernels.tau_simple(kind, data, 1)
 
 
+class TestPermutationPlumbing:
+    @pytest.mark.parametrize("n", (0, 1, 4, 256))
+    def test_compose_is_the_table_lookup(self, n, rng):
+        for _ in range(20):
+            p = bytes(rng.sample(range(n), n))
+            q = bytes(rng.sample(range(n), n))
+            assert kernels.compose(p, q) == bytes(q[x] for x in p)
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            ("abc", b"\x00\x01\x02"),
+            (b"\x00\x01\x02", [0, 1, 2]),
+            (bytearray(b"\x00\x01"), b"\x00\x01"),
+            (b"\x00\x01", b"\x00\x01\x02"),
+            (b"\x00\x01\x02", b"\x00\x01"),
+            (b"\x00\x03\x01", b"\x00\x01\x02"),
+            (b"\xff", b"\x00"),
+        ],
+    )
+    def test_compose_rejects_bad_operands(self, p, q):
+        with pytest.raises(ValueError):
+            kernels.compose(p, q)
+
+    def test_cached_perms_still_raise(self):
+        assert kernels.delta_perm(0, 5) is kernels.delta_perm(0, 5)
+        assert kernels.identity_perm(5) is kernels.identity_perm(5)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                kernels.delta_perm(0, 1000)
+            with pytest.raises(ValueError):
+                kernels.identity_perm(1000)
+
+
 class TestNormalForms:
     @pytest.mark.parametrize("kind", BOTH_KINDS)
     def test_word_round_trips(self, kind, rng):
@@ -455,6 +489,9 @@ BAD_CALLS = [
     r"left_divides(0, b'\x00', b'\x01\x00')",
     r"left_complement(0, b'\x07\x00\x01')",
     "right_complement(0, 'abc')",
+    "compose('abc', 'abc')",
+    r"compose(b'\x00\x01', b'\x00\x01\x02')",
+    r"compose(b'\x00\x05\x01', b'\x00\x01\x02')",
     r"quotient_left(b'\x00\x01\x02', b'\x00')",
     r"quotient_left(b'\x00\x01', b'\x00\x01\x02')",
     r"tau_simple(0, b'\x00\x01\x05', 1)",

@@ -1,8 +1,12 @@
 """Length functions: exact values, fast paths, and the sandwich bounds."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from conftest import random_word
+from garsidekit import kernels
 from garsidekit.artin import artin_structure
 from garsidekit.bkl import bkl_structure
 from garsidekit.core import greedy_nf, rational_nf
@@ -16,6 +20,7 @@ from garsidekit.lengths import (
     metric_length,
     positive_length,
     rational_length,
+    to_metric_structure,
 )
 from garsidekit.oracle import enumerate_ball
 from garsidekit.syntax import parse_word
@@ -106,6 +111,82 @@ class TestCrossLength:
         band = parse_word("a(3,1)", bkl_structure(3))
         assert metric_length(band, LengthMetric.RATIONAL_BKL) == 1
         assert metric_length(band, LengthMetric.RATIONAL_ARTIN) == 3
+
+
+class TestStoredTranslation:
+    """A word normalizes at most once per alphabet, whatever it is measured by."""
+
+    @staticmethod
+    def four_lengths(w):
+        return tuple(metric_length(w, m) for m in LengthMetric)
+
+    @staticmethod
+    def fresh_lengths(kit, w):
+        out = []
+        for m in LengthMetric:
+            x = to_metric_structure(w, m)
+            code, n = x.structure.kind_code, x.structure.strand_count
+            out.append(kit.nf_lengths(code, n, *kit.word_to_nf(code, n, x.letters))[m.rational])
+        return tuple(out)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The (kind, n) of every ``word_to_nf`` call."""
+        seen = []
+        word_to_nf = kernels.word_to_nf
+
+        def counting(*args):
+            seen.append(args[:2])
+            return word_to_nf(*args)
+
+        monkeypatch.setattr(kernels, "word_to_nf", counting)
+        return seen
+
+    @pytest.mark.parametrize("make", [artin_structure, bkl_structure])
+    def test_four_lengths_normalize_twice(self, make, rng, calls):
+        w = random_word(rng, make(4), 20)
+        first = self.four_lengths(w)
+        assert sorted(calls) == [(kernels.KIND_ARTIN, 4), (kernels.KIND_BKL, 4)]
+        assert self.four_lengths(w) == first
+        assert len(calls) == 2
+
+    def test_cross_readers_share_the_stored_form(self, rng, calls):
+        w = random_word(rng, artin_structure(4), 20)
+        report = bounds_report(w)
+        assert cross_rational_bkl(w) == report.ell_R_cross
+        assert report.ell_R_cross == metric_length(w, LengthMetric.RATIONAL_BKL)
+        assert self.four_lengths(w)[0] == report.ell_G
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("make", [artin_structure, bkl_structure])
+    def test_stored_form_leaves_equality_hash_and_repr(self, make, rng):
+        w = random_word(rng, make(4), 12)
+        fresh = make(4).word(w.letters)
+        self.four_lengths(w)
+        assert w == fresh and fresh == w
+        assert hash(w) == hash(fresh)
+        assert repr(w) == repr(fresh)
+
+    @pytest.mark.parametrize("make", [artin_structure, bkl_structure])
+    def test_pickle_and_replace_keep_correct_lengths(self, make, rng):
+        structure = make(4)
+        for _ in range(10):
+            w = random_word(rng, structure, 12)
+            lengths = self.four_lengths(w)
+            clone = pickle.loads(pickle.dumps(w))
+            assert self.four_lengths(clone) == lengths
+            other = random_word(rng, structure, 12)
+            moved = dataclasses.replace(w, letters=other.letters)
+            assert self.four_lengths(moved) == self.four_lengths(structure.word(other.letters))
+
+    @pytest.mark.parametrize("make", [artin_structure, bkl_structure])
+    def test_matches_a_fresh_translation(self, make, kit, rng, monkeypatch):
+        monkeypatch.setattr(kernels, "word_to_nf", kit.word_to_nf)
+        monkeypatch.setattr(kernels, "nf_lengths", kit.nf_lengths)
+        for n in (3, 5):
+            for _ in range(30):
+                w = random_word(rng, make(n), 25)
+                assert self.four_lengths(w) == self.fresh_lengths(kit, w)
 
 
 class TestAlpha:
