@@ -11,8 +11,9 @@ measure how useful the metric is for peeling equations.
 Work per sample: each generator is normalized once per structure, so an
 Artin-versus-band comparison makes 2·NG word normalizations. X is the
 product of the generators' normal forms along the sentence, never a
-normalization of the sentence itself, and a word keeps its normal form,
-so ``compute_cor`` and the Artin ranking share theirs. The set of correct
+normalization of the sentence itself, and a word keeps its normal form
+and a sample its sentence's prefix forms per alphabet, so ``compute_cor``
+and the Artin ranking share both. The set of correct
 first generators (COR) comes from a commutation test: generator i first
 occurs at slot i, so it may stand first exactly when it commutes with the
 product of the factors before it.
@@ -165,16 +166,22 @@ def _sentence_prefixes(
     n: int,
     gen_nfs: Sequence[tuple[int, tuple[bytes, ...]]],
     sentence_length: int | None,
-) -> list[tuple[int, tuple[bytes, ...]]]:
+) -> tuple[tuple[int, tuple[bytes, ...]], ...]:
     """Forms of the first 0..SL sentence factors, from the generators' forms.
 
     ``gen_nfs`` holds the generators' forms in the structure ``(code, n)``;
     the last entry returned is the form of X there, so the sentence itself
     is never normalized. Raises ``ValueError`` unless the sentence's
     letters are the generators' concatenation along :func:`sentence_indices`.
+    The forms are stored on the sample per structure and factor count,
+    outside the dataclass fields, like a word's ``raw_nf``.
     """
     if sentence_length is None:
         sentence_length = _sentence_length(sample)
+    stored = sample.__dict__.setdefault("_prefixes", {})
+    key = (code, sentence_length)
+    if key in stored:
+        return stored[key]
     indices = sentence_indices(sentence_length, len(sample.generators))
     letters = tuple(x for i in indices for x in sample.generators[i - 1].letters)
     if letters != sample.sentence.letters:
@@ -184,7 +191,8 @@ def _sentence_prefixes(
     prefix = [(0, ())]
     for i in indices:
         prefix.append(kernels.multiply_nf(code, n, *prefix[-1], *gen_nfs[i - 1]))
-    return prefix
+    stored[key] = tuple(prefix)
+    return stored[key]
 
 
 def _sentence_length(sample: ExperimentSample) -> int:

@@ -7,7 +7,9 @@ solver, the ranking and the oracle spend their kernel time in:
 ``peel_lengths``, which scores a batch of peels ``p * target`` by length
 without building the products, and ``expand_level``, one breadth-first
 step of the oracle over packed normal forms. Both twins have identical
-semantics.
+semantics, and each raises ``ValueError`` on a factor that is not a simple
+of the structure: every permutation is an Artin simple, but a band factor
+must be a band simple, because the compiled band meet is exact only there.
 The compiled backend is preferred when importable; set
 ``GARSIDEKIT_PURE=1`` to force the pure one (useful for debugging).
 

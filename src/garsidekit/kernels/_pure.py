@@ -29,11 +29,12 @@ Two structure kinds are supported, selected by the ``kind`` argument:
   The fundamental element is the full cycle ``i -> i+1 (mod n)``; the atom
   with flat index ``t*(t-1)//2 + s`` is the transposition of slots ``s < t``.
 
-Only ``meet``, the complements and ``simple_len`` have an algorithm per
-structure. Left divisibility (``meet(s, t) == s``), ``join`` and band
-simplicity follow from them by Garside identities, which the test suite
+Only ``meet``, the complements, ``simple_len`` and ``is_simple`` have an
+algorithm per structure. Left divisibility (``meet(s, t) == s``) and
+``join`` follow from them by Garside identities, which the test suite
 checks against the raw definitions. An operation on two simples raises
-``ValueError`` when their strand counts differ.
+``ValueError`` when their strand counts differ; a normal-form kernel
+raises it on a factor that is not a simple of the structure.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def tau_simple(kind: int, p: bytes, k: int) -> bytes:
         if k % 2 == 0:
             return p
         return bytes(n - 1 - p[n - 1 - i] for i in range(n))
-    k %= n
+    k = k % n if n else 0
     if k == 0:
         return p
     out = bytearray(n)
@@ -171,14 +172,44 @@ def tau_simple(kind: int, p: bytes, k: int) -> bytes:
     return bytes(out)
 
 
+@functools.cache
+def _range_set(n: int) -> frozenset[int]:
+    return frozenset(range(n))
+
+
 def is_permutation(p: bytes, n: int) -> bool:
-    return len(p) == n and set(p) == set(range(n))
+    return len(p) == n and set(p) == _range_set(n)
 
 
-def _check_factors(n: int, factors: Sequence[bytes]) -> None:
+def _is_band_simple(p: bytes) -> bool:
+    """Whether the permutation ``p`` is a band simple, in one ascending scan.
+
+    A band simple maps each slot to the next larger slot of its block and
+    the largest back to the smallest, and its blocks do not cross. The
+    scan keeps each block open at slot ``i`` on a stack, as the slot it
+    goes on to and its smallest slot: blocks nest, so the innermost, on
+    top, goes on to the nearest slot.
+    """
+    stack: list[tuple[int, int]] = []
+    for i, x in enumerate(p):
+        low = stack.pop()[1] if stack and stack[-1][0] == i else i
+        if x > i:
+            if stack and stack[-1][0] < x:
+                return False
+            stack.append((x, low))
+        elif x != low:
+            return False
+    return True
+
+
+def _check_factors(kind: int, n: int, factors: Sequence[bytes]) -> None:
+    """Raise unless every factor is a simple of the structure on ``n``
+    strands, as the compiled twin does."""
     for f in factors:
         if not is_permutation(f, n):
             raise ValueError(f"factor {f!r} is not a permutation of range({n})")
+        if kind == KIND_BKL and not _is_band_simple(f):
+            raise ValueError(f"factor {f!r} is not a band simple of {n} strands")
 
 
 def _check_bounds(n: int, *powers: int) -> None:
@@ -191,15 +222,9 @@ def _check_bounds(n: int, *powers: int) -> None:
 
 
 def is_simple(kind: int, p: bytes) -> bool:
-    """Every permutation is an Artin simple; ``p`` is a band simple, a
-    non-crossing partition below delta in the absolute order (Biane 1997),
-    iff absolute length adds up along ``p * right_complement(p) = delta``."""
-    n = len(p)
-    if not is_permutation(p, n):
-        return False
-    if kind == KIND_ARTIN or n <= 1:
-        return True
-    return simple_len(kind, p) + simple_len(kind, right_complement(kind, p)) == n - 1
+    """Every permutation is an Artin simple; band simples are the
+    permutations whose upward cycles form a non-crossing partition."""
+    return is_permutation(p, len(p)) and (kind == KIND_ARTIN or _is_band_simple(p))
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +460,10 @@ def multiply_nf(
     stops at the first pair it leaves alone.
     """
     _check_bounds(n, k1, k2)
+    _check_factors(kind, n, f1)
+    _check_factors(kind, n, f2)
     if not f1:
         return k1 + k2, tuple(f2)
-    _check_factors(n, f1)
-    _check_factors(n, f2)
     if not f2:
         return k1 + k2, tuple(tau_simple(kind, x, k2) for x in f1)
     fs = [tau_simple(kind, x, k2) for x in f1]
@@ -456,7 +481,7 @@ def invert_nf(
     sweeping the deltas frontward twists the complements.
     """
     _check_bounds(n, k)
-    _check_factors(n, f)
+    _check_factors(kind, n, f)
     r = len(f)
     out = [
         tau_simple(kind, left_complement(kind, f[j - 1]), -(j - 1) - k)
@@ -477,7 +502,7 @@ def nf_lengths(kind: int, n: int, k: int, f: Sequence[bytes]) -> tuple[int, int]
     that cancel against negative delta powers.
     """
     _check_bounds(n, k)
-    _check_factors(n, f)
+    _check_factors(kind, n, f)
     ld = delta_len(kind, n)
     lens = [simple_len(kind, x) for x in f]
     greedy = abs(k) * ld + sum(lens)
@@ -504,7 +529,8 @@ def peel_lengths(
     _check_bounds(n, k)
     if rational not in (0, 1):
         raise ValueError(f"rational is {rational!r}, not 0 or 1")
-    # multiply_nf checks each peel.
+    # Checked here also when there is no peel; multiply_nf checks each peel.
+    _check_factors(kind, n, f)
     return tuple(
         nf_lengths(kind, n, *multiply_nf(kind, n, k1, f1, k, f))[rational]
         for k1, f1 in peels
@@ -569,12 +595,12 @@ def expand_level(
         raise ValueError(f"level {level} or max_nodes {max_nodes} outside 0..2**63-1")
     for mk, mf in moves:
         _check_bounds(n, mk)
-        _check_factors(n, mf)
+        _check_factors(kind, n, mf)
     grown = []
     for parent in frontier:
         k, factors = unpack_nf(parent, n)
         _check_bounds(n, k)
-        _check_factors(n, factors)
+        _check_factors(kind, n, factors)
         for mk, mf in moves:
             child = pack_nf(*multiply_nf(kind, n, k, factors, mk, mf))
             if child not in table:

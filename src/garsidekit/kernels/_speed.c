@@ -22,12 +22,22 @@
  * unchanged (a trivial twist, the factors a product leaves alone), so does
  * this one, so callers that keep many normal forms share their factors.
  *
+ * The algorithms are the pure twin's, on C arrays, save in the band meet
+ * and the band simple length, where a profile of the ranking found most of
+ * its kernel time: ``meet_into`` walks the blocks of one argument upward
+ * instead of labelling the cycles of both, and a band simple's length
+ * counts the slots that do not map upward. Both are exact only on band
+ * simples, so every band factor is checked at the boundary. The test suite
+ * compares both twins on every pair of small simples, so the pure twin's
+ * cycle-label meet judges the block walk.
+ *
  * Every entry point checks its arguments before it touches memory: the
  * kind is 0 or 1, a strand count lies in 0..256 (``core.MAX_STRANDS``, the
  * most a byte can label), every factor it reads is ``bytes`` holding a
- * permutation of range(n), every atom index is in range, and a packed
+ * simple (a permutation of range(n), and for the band structure a band
+ * simple: ``simple_ok``), every atom index is in range, and a packed
  * normal form (``_pure.pack_nf``) has 8 + r*n bytes, a delta power in range
- * and permutations for factors. A bad argument
+ * and simples for factors. A bad argument
  * raises ``TypeError``, ``ValueError`` or ``OverflowError``. Integers must
  * be ``int``, so reading one runs no Python code, and nothing here calls
  * back into the pure twin.
@@ -129,10 +139,47 @@ perm_ok(const u8 *p, int n)
     return 1;
 }
 
-/* The bytes of ``o`` if it holds a permutation of range(n); else NULL with
- * an exception set. */
+/* 1 if the permutation ``p`` is a band simple, else 0 with an exception
+ * set. A band simple maps each slot to the next larger slot of its block
+ * and the largest back to the smallest, and its blocks do not cross. One
+ * ascending scan checks that, keeping each block that is open at ``i`` on
+ * a stack with the slot it goes on to and its smallest slot: blocks nest,
+ * so the innermost, on top, goes on to the nearest slot. */
+static int
+band_ok(const u8 *p, int n)
+{
+    u8 next[MAXN], low[MAXN];
+    int i, lo, depth = 0;
+    for (i = 0; i < n; i++) {
+        lo = depth > 0 && next[depth - 1] == i ? low[--depth] : i;
+        if (p[i] > i) {
+            if (depth > 0 && next[depth - 1] < p[i])
+                break;
+            next[depth] = p[i];
+            low[depth++] = (u8)lo;
+        } else if (p[i] != lo) {
+            break;
+        }
+    }
+    if (i < n) {
+        PyErr_Format(PyExc_ValueError, "not a band simple of %d strands", n);
+        return 0;
+    }
+    return 1;
+}
+
+/* 1 if the n bytes at ``p`` are a simple of the structure, else 0 with an
+ * exception set: every permutation is an Artin simple. */
+static int
+simple_ok(int kind, const u8 *p, int n)
+{
+    return perm_ok(p, n) && (kind == KIND_ARTIN || band_ok(p, n));
+}
+
+/* The bytes of ``o`` if it holds a simple of the structure on n strands;
+ * else NULL with an exception set. */
 static const u8 *
-perm_arg(PyObject *o, int n)
+simple_arg(int kind, PyObject *o, int n)
 {
     const u8 *p;
     if (!PyBytes_Check(o)) {
@@ -146,7 +193,7 @@ perm_arg(PyObject *o, int n)
         return NULL;
     }
     p = (const u8 *)PyBytes_AS_STRING(o);
-    return perm_ok(p, n) ? p : NULL;
+    return simple_ok(kind, p, n) ? p : NULL;
 }
 
 /* ------------------------------------------------------------------------
@@ -155,7 +202,7 @@ perm_arg(PyObject *o, int n)
 static u8
 delta_at(int kind, int n, int i)
 {
-    return (u8)(kind == KIND_ARTIN ? n - 1 - i : (i + 1) % n);
+    return (u8)(kind == KIND_ARTIN ? n - 1 - i : i + 1 == n ? 0 : i + 1);
 }
 
 static void
@@ -184,22 +231,6 @@ is_identity(const u8 *p, int n)
     return 1;
 }
 
-/* Label each slot with the minimum of its cycle; an ascending scan reaches
- * every cycle at its minimum. */
-static void
-cycle_labels(const u8 *p, u8 *labels, int n)
-{
-    u8 seen[MAXN];
-    int i, j;
-    for (i = 0; i < n; i++) /* not memset: see perm_arg */
-        seen[i] = 0;
-    for (i = 0; i < n; i++)
-        for (j = i; !seen[j]; j = p[j]) {
-            seen[j] = 1;
-            labels[j] = (u8)i;
-        }
-}
-
 static int
 artin_inversions(const u8 *p, int n)
 {
@@ -210,16 +241,16 @@ artin_inversions(const u8 *p, int n)
     return count;
 }
 
+/* A band simple's length is n minus its block count, and each block has
+ * one slot that does not map upward: its largest. */
 static int
 simple_length(int kind, const u8 *p, int n)
 {
-    u8 labels[MAXN];
     int i, blocks = 0;
     if (kind == KIND_ARTIN)
         return artin_inversions(p, n);
-    cycle_labels(p, labels, n);
     for (i = 0; i < n; i++)
-        blocks += labels[i] == i;
+        blocks += p[i] <= i;
     return n - blocks;
 }
 
@@ -230,11 +261,13 @@ delta_length(int kind, int n)
 }
 
 /* ``p`` conjugated by delta^k into ``out``; returns 0, leaving ``out``
- * untouched, when the twist is trivial. */
-static int
+ * untouched, when the twist is trivial. Inline: the oracle twists every
+ * factor of every parent once per move, and gcc 12 left it out of line
+ * once the band rotation grew, which cost about 5% on small Artin balls. */
+static inline int
 twist(int kind, const u8 *p, u8 *out, int n, long long k)
 {
-    int i;
+    int i, j, v;
     if (kind == KIND_ARTIN) {
         if (k % 2 == 0)
             return 0;
@@ -246,8 +279,12 @@ twist(int kind, const u8 *p, u8 *out, int n, long long k)
         return 0;
     if (k < 0)
         k += n;
-    for (i = 0; i < n; i++)
-        out[(i + k) % n] = (u8)((p[i] + k) % n);
+    /* Rotate every slot and value by k, wrapping with a subtraction. */
+    for (i = 0; i < n; i++) {
+        j = i + (int)k;
+        v = p[i] + (int)k;
+        out[j < n ? j : j - n] = (u8)(v < n ? v : v - n);
+    }
     return 1;
 }
 
@@ -292,26 +329,39 @@ fill_atom(int kind, int n, int a, u8 *out)
 }
 
 /* Meet of two band simples into ``out``; returns 1 when it is the
- * identity. */
+ * identity. The meet is the common refinement of the two partitions, and
+ * its blocks are walked upward. A band simple maps each slot to the next
+ * larger slot of its block and the largest back to the smallest, so the
+ * slot after ``i`` in its meet block is the first slot after it on the
+ * upward walk along ``s`` that shares its block of ``t``; the walk ends
+ * without one when it wraps or passes that block's largest slot. */
 static int
 meet_into(const u8 *s, const u8 *t, u8 *out, int n)
 {
-    u8 ls[MAXN], lt[MAXN], last[MAXN];
-    int i, j;
-    /* Common refinement of the two partitions: the slots sharing both
-     * cycle labels form one upward cycle, named by its first slot j.
-     * Each slot closes the cycle until a later one joins it. */
-    cycle_labels(s, ls, n);
-    cycle_labels(t, lt, n);
-    for (i = 0; i < n; i++) {
-        for (j = 0; ls[j] != ls[i] || lt[j] != lt[i]; j++)
-            ;
-        out[i] = (u8)j;
-        if (j < i)
-            out[last[j]] = (u8)i;
-        last[j] = (u8)i;
+    u8 top[MAXN], done[MAXN];
+    int i, j, at, end, identity = 1;
+    /* top[i]: the largest slot of i's block of t. */
+    for (i = n - 1; i >= 0; i--) {
+        top[i] = t[i] > i ? top[t[i]] : (u8)i;
+        done[i] = 0;
     }
-    return is_identity(out, n);
+    /* An ascending scan meets each block first at its smallest slot. */
+    for (i = 0; i < n; i++) {
+        if (done[i])
+            continue;
+        end = top[i];
+        for (at = i;; at = j) {
+            done[at] = 1;
+            for (j = s[at]; j > at && j < end && top[j] != end; j = s[j])
+                ;
+            if (j <= at || j > end)
+                break;
+            out[at] = (u8)j;
+        }
+        out[at] = (u8)i;
+        identity &= at == i;
+    }
+    return identity;
 }
 
 /* Left-weight the pair (s, p) into (s2, p2), keeping the product; returns 1
@@ -320,7 +370,7 @@ static int
 slide_into(int kind, const u8 *s, const u8 *p, u8 *s2, u8 *p2, int n)
 {
     u8 rc[MAXN], b[MAXN], bi[MAXN], si[MAXN], x;
-    int i, moved = 0, scanning = 1;
+    int i, moved = 0;
     if (kind == KIND_BKL) {
         fill_right_complement(kind, s, rc, n);
         if (meet_into(rc, p, b, n))
@@ -332,20 +382,23 @@ slide_into(int kind, const u8 *s, const u8 *p, u8 *s2, u8 *p2, int n)
         }
         return 1;
     }
-    /* Transfer every atom that starts p and can extend s. */
+    /* Transfer every atom that starts p and can extend s. A transfer at i
+     * changes only the pairs at i - 1 and i + 1, so the scan steps back
+     * one slot after it; any transfer order ends at the same pair. */
     memcpy(s2, s, n);
     memcpy(p2, p, n);
     fill_invert(s, si, n);
-    while (scanning) {
-        scanning = 0;
-        for (i = 0; i < n - 1; i++) {
-            if (p2[i] > p2[i + 1] && si[i] < si[i + 1]) {
-                x = p2[i], p2[i] = p2[i + 1], p2[i + 1] = x;
-                s2[si[i]] = (u8)(i + 1);
-                s2[si[i + 1]] = (u8)i;
-                x = si[i], si[i] = si[i + 1], si[i + 1] = x;
-                moved = scanning = 1;
-            }
+    for (i = 0; i < n - 1;) {
+        if (p2[i] > p2[i + 1] && si[i] < si[i + 1]) {
+            x = p2[i], p2[i] = p2[i + 1], p2[i + 1] = x;
+            s2[si[i]] = (u8)(i + 1);
+            s2[si[i + 1]] = (u8)i;
+            x = si[i], si[i] = si[i + 1], si[i + 1] = x;
+            moved = 1;
+            if (i > 0)
+                i--;
+        } else {
+            i++;
         }
     }
     return moved;
@@ -432,7 +485,7 @@ push_factors(int kind, int n, flist *fs, PyObject *seq, long long k, Py_ssize_t 
     if (!flist_reserve(fs, fs->r + r, n))
         return 0;
     for (i = 0; i < r; i++) {
-        if ((p = perm_arg(PyTuple_GET_ITEM(seq, i), n)) == NULL)
+        if ((p = simple_arg(kind, PyTuple_GET_ITEM(seq, i), n)) == NULL)
             return 0;
         if (twist(kind, p, buf, n, k))
             flist_push(fs, buf, n, -1);
@@ -638,7 +691,9 @@ py_multiply_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t narg
     }
     r1 = PyTuple_GET_SIZE(f1);
     if (r1 == 0) {
-        out = pair(PyLong_FromLongLong(k1 + k2), Py_NewRef(f2));
+        /* Nothing to normalize; the right factors are still checked. */
+        if (push_factors(kind, n, &fs, f2, 0, -1))
+            out = pair(PyLong_FromLongLong(k1 + k2), Py_NewRef(f2));
         goto done;
     }
     /* The right delta power commutes through the left factors, twisting
@@ -676,7 +731,7 @@ py_invert_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     /* Each reversed factor contributes delta^-1 * its left complement, and
      * sweeping the deltas frontward twists the complements. */
     for (j = r; j >= 1; j--) {
-        if ((p = perm_arg(PyTuple_GET_ITEM(seq, j - 1), n)) == NULL)
+        if ((p = simple_arg(kind, PyTuple_GET_ITEM(seq, j - 1), n)) == NULL)
             goto done;
         fill_left_complement(kind, p, lc, n);
         g = twist(kind, lc, buf, n, -(j - 1) - k) ? buf : lc;
@@ -705,7 +760,7 @@ py_nf_lengths(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     /* The rational length drops two copies of the leading factor lengths
      * that cancel against negative delta powers. */
     for (i = 0; i < PyTuple_GET_SIZE(seq); i++) {
-        if ((p = perm_arg(PyTuple_GET_ITEM(seq, i), n)) == NULL) {
+        if ((p = simple_arg(kind, PyTuple_GET_ITEM(seq, i), n)) == NULL) {
             Py_DECREF(seq);
             return NULL;
         }
@@ -808,7 +863,7 @@ done:
 /* Check the packed normal form ``o``; its delta power goes to ``k``, its
  * ``r`` factors stay in place at ``f``. */
 static int
-blob_arg(int n, PyObject *o, long long *k, const u8 **f, Py_ssize_t *r)
+blob_arg(int kind, int n, PyObject *o, long long *k, const u8 **f, Py_ssize_t *r)
 {
     const u8 *p;
     unsigned long long u = 0;
@@ -835,7 +890,7 @@ blob_arg(int n, PyObject *o, long long *k, const u8 **f, Py_ssize_t *r)
     *f = p + POWER_BYTES;
     *r = n > 0 ? size / n : 0;
     for (i = 0; i < *r; i++)
-        if (!perm_ok(*f + i * n, n))
+        if (!simple_ok(kind, *f + i * n, n))
             return 0;
     return 1;
 }
@@ -912,7 +967,7 @@ py_expand_level(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     if ((grown = PyList_New(0)) == NULL)
         goto done;
     for (i = 0; i < PyTuple_GET_SIZE(frontier); i++) {
-        if (!blob_arg(n, PyTuple_GET_ITEM(frontier, i), &k1, &pf, &r1)
+        if (!blob_arg(kind, n, PyTuple_GET_ITEM(frontier, i), &k1, &pf, &r1)
             || !flist_reserve(&fs, r1 + mv.r, n))
             goto done;
         for (j = 0; j < count; j++) {

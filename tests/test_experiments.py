@@ -202,6 +202,24 @@ class TestWorkPerSample:
             _sample_positions(cfg, index, metrics)
             assert kinds == {kernels.KIND_ARTIN: cfg.ng, kernels.KIND_BKL: cfg.ng}
 
+    def test_one_set_of_sentence_prefixes_per_alphabet(self, monkeypatch):
+        """COR and the Artin ranking share the Artin prefixes: SL products
+        per alphabet, plus one COR test per generator that occurs."""
+        cfg = tiny_config(ns=5, ng=4, sl=6, wl=3)
+        kinds = collections.Counter()
+        multiply_nf = kernels.multiply_nf
+
+        def counting(kind, *args):
+            kinds[kind] += 1
+            return multiply_nf(kind, *args)
+
+        monkeypatch.setattr(kernels, "multiply_nf", counting)
+        metrics = (LengthMetric.RATIONAL_ARTIN, LengthMetric.RATIONAL_BKL)
+        for index in range(3):
+            kinds.clear()
+            _sample_positions(cfg, index, metrics)
+            assert kinds == {kernels.KIND_ARTIN: cfg.sl + cfg.ng, kernels.KIND_BKL: cfg.sl}
+
 
 class TestRunExperiment:
     def test_single_sample(self):

@@ -358,6 +358,38 @@ class TestBackendEquivalence:
             assert len(seen) + half < len(table) < len(seen) + len(full)
             assert grown == full[: len(grown)]
 
+    def test_band_factors_must_be_band_simples(self, kit):
+        """Every normal-form kernel takes exactly the band simples as band
+        factors; any permutation is an Artin factor."""
+        for n in range(8):
+            simples = set(brute.all_simples(kernels.KIND_BKL, n))
+            for p in itertools.permutations(range(n)):
+                kit.nf_lengths(kernels.KIND_ARTIN, n, 0, (bytes(p),))
+                try:
+                    kit.nf_lengths(kernels.KIND_BKL, n, 0, (bytes(p),))
+                except ValueError:
+                    assert p not in simples, p
+                else:
+                    assert p in simples, p
+
+    @pytest.mark.parametrize("kind,top", [(kernels.KIND_BKL, 6), (kernels.KIND_ARTIN, 5)])
+    def test_every_pair_of_simples(self, compiled_speed, kind, top):
+        """The lattice core, exhaustively: both twins multiply and score
+        every pair of simples alike. The pure twin meets band simples by
+        their cycle labels and the compiled one by walking their blocks."""
+        for n in range(top + 1):
+            simples = [bytes(p) for p in brute.all_simples(kind, n)]
+            peels = [(0, (s,)) for s in simples]
+            for p in simples:
+                for s in simples:
+                    expected = _pure.multiply_nf(kind, n, 0, (s,), 0, (p,))
+                    got = compiled_speed.multiply_nf(kind, n, 0, (s,), 0, (p,))
+                    assert got == expected, (kind, n, s, p)
+                for k, rational in itertools.product((0, -1), (0, 1)):
+                    expected = _pure.peel_lengths(kind, n, peels, k, (p,), rational)
+                    got = compiled_speed.peel_lengths(kind, n, peels, k, (p,), rational)
+                    assert got == expected, (kind, n, p, k, rational)
+
     def test_products_share_untouched_factors(self, kit, rng):
         """A product hands back the right factors its left one leaves alone."""
         for kind in BOTH_KINDS:
@@ -535,6 +567,23 @@ BAD_CALLS = [
     r"expand_level(0, 3, [bytes(8)], [(0, (b'\x00\x09\x01',))], {}, 1, None, 10)",
     "expand_level(0, 1000, [], [], {}, 1, None, 10)",
     "expand_level(0, 3, [], [], {}, 1, None, 2**63)",
+    # Band factors that are permutations but not band simples: a cycle that
+    # does not ascend, and two blocks that cross.
+    r"multiply_nf(1, 3, 0, (b'\x02\x00\x01',), 0, (b'\x01\x02\x00',))",
+    "multiply_nf(1, 4, 0, (bytes([2, 3, 0, 1]),), 0, (bytes([2, 3, 0, 1]),))",
+    r"multiply_nf(1, 3, 0, (), 0, (b'\x02\x00\x01',))",
+    r"invert_nf(1, 3, 0, (b'\x02\x00\x01',))",
+    "invert_nf(1, 4, 0, (bytes([2, 3, 0, 1]),))",
+    r"nf_lengths(1, 3, 0, (b'\x02\x00\x01',))",
+    "nf_lengths(1, 4, 0, (bytes([2, 3, 0, 1]),))",
+    r"peel_lengths(1, 3, [(0, (b'\x02\x00\x01',))], 0, (b'\x01\x02\x00',), 0)",
+    "peel_lengths(1, 4, [(0, (bytes([2, 3, 0, 1]),))], 0, (), 1)",
+    r"peel_lengths(1, 3, [(0, ())], 0, (b'\x02\x00\x01',), 0)",
+    "peel_lengths(1, 4, [], 0, (bytes([2, 3, 0, 1]),), 1)",
+    r"expand_level(1, 3, [bytes(8) + b'\x02\x00\x01'], [(0, (b'\x01\x02\x00',))], {}, 1, None, 10)",
+    "expand_level(1, 4, [bytes(8) + bytes([2, 3, 0, 1])], [(0, ())], {}, 1, None, 10)",
+    r"expand_level(1, 3, [bytes(8)], [(0, (b'\x02\x00\x01',))], {}, 1, None, 10)",
+    "expand_level(1, 4, [bytes(8)], [(0, (bytes([2, 3, 0, 1]),))], {}, 1, None, 10)",
 ]
 
 PROBE = """
