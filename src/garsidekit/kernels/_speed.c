@@ -23,13 +23,13 @@
  * this one, so callers that keep many normal forms share their factors.
  *
  * The algorithms are the pure twin's, on C arrays, save in the band meet
- * and the band simple length, where a profile of the ranking found most of
- * its kernel time: ``meet_into`` walks the blocks of one argument upward
- * instead of labelling the cycles of both, and a band simple's length
- * counts the slots that do not map upward. Both are exact only on band
- * simples, so every band factor is checked at the boundary. The test suite
- * compares both twins on every pair of small simples, so the pure twin's
- * cycle-label meet judges the block walk.
+ * and the band simple length, where band normalization spent most of its
+ * time in a profile of the ranking: ``meet_into`` walks the blocks of one
+ * argument upward instead of labelling the cycles of both, and a band
+ * simple's length counts the slots that do not map upward. Both are exact
+ * only on band simples, so every band factor is checked at the boundary.
+ * The test suite compares both twins on every pair of small simples, so
+ * the pure twin's cycle-label meet judges the block walk.
  *
  * Every entry point checks its arguments before it touches memory: the
  * kind is 0 or 1, a strand count lies in 0..256 (``core.MAX_STRANDS``, the
