@@ -462,6 +462,13 @@ def multiply_nf(
     _check_bounds(n, k1, k2)
     _check_factors(kind, n, f1)
     _check_factors(kind, n, f2)
+    return _multiply(kind, n, k1, f1, k2, f2)
+
+
+def _multiply(
+    kind: int, n: int, k1: int, f1: Sequence[bytes], k2: int, f2: Sequence[bytes]
+) -> tuple[int, tuple[bytes, ...]]:
+    """:func:`multiply_nf` on arguments its caller has checked."""
     if not f1:
         return k1 + k2, tuple(f2)
     if not f2:
@@ -503,6 +510,11 @@ def nf_lengths(kind: int, n: int, k: int, f: Sequence[bytes]) -> tuple[int, int]
     """
     _check_bounds(n, k)
     _check_factors(kind, n, f)
+    return _lengths(kind, n, k, f)
+
+
+def _lengths(kind: int, n: int, k: int, f: Sequence[bytes]) -> tuple[int, int]:
+    """:func:`nf_lengths` of a normal form its caller has checked."""
     ld = delta_len(kind, n)
     lens = [simple_len(kind, x) for x in f]
     greedy = abs(k) * ld + sum(lens)
@@ -529,12 +541,13 @@ def peel_lengths(
     _check_bounds(n, k)
     if rational not in (0, 1):
         raise ValueError(f"rational is {rational!r}, not 0 or 1")
-    # Checked here also when there is no peel; multiply_nf checks each peel.
     _check_factors(kind, n, f)
-    return tuple(
-        nf_lengths(kind, n, *multiply_nf(kind, n, k1, f1, k, f))[rational]
-        for k1, f1 in peels
-    )
+    scores = []
+    for k1, f1 in peels:
+        _check_bounds(n, k1)
+        _check_factors(kind, n, f1)
+        scores.append(_lengths(kind, n, *_multiply(kind, n, k1, f1, k, f))[rational])
+    return tuple(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -573,23 +586,19 @@ def expand_level(
     moves: Sequence[tuple[int, Sequence[bytes]]],
     table: dict[bytes, int],
     level: int,
-    goal: bytes | None,
     max_nodes: int,
-) -> list[bytes] | None:
+) -> list[bytes]:
     """One breadth-first step over packed normal forms.
 
     Each child ``parent * move`` (``multiply_nf``, packed by ``pack_nf``)
     that is not yet a key of ``table`` is stored there with the value
-    ``level`` and appended to the returned next frontier. Returns None at
-    once, without storing it, when a new child equals ``goal``. Stops after
-    the first parent whose children bring ``len(table)`` above
-    ``max_nodes``, and returns the children found so far.
+    ``level`` and appended to the returned next frontier. Stops after the
+    first parent whose children bring ``len(table)`` above ``max_nodes``,
+    and returns the children found so far.
     """
     _check_bounds(n)
     if type(table) is not dict:
         raise TypeError(f"table must be a dict, not {type(table).__name__}")
-    if goal is not None and not isinstance(goal, bytes):
-        raise TypeError(f"goal must be bytes or None, not {type(goal).__name__}")
     # The compiled twin reads both as C long longs.
     if not (0 <= level < 2**63 and 0 <= max_nodes < 2**63):
         raise ValueError(f"level {level} or max_nodes {max_nodes} outside 0..2**63-1")
@@ -602,10 +611,8 @@ def expand_level(
         _check_bounds(n, k)
         _check_factors(kind, n, factors)
         for mk, mf in moves:
-            child = pack_nf(*multiply_nf(kind, n, k, factors, mk, mf))
+            child = pack_nf(*_multiply(kind, n, k, factors, mk, mf))
             if child not in table:
-                if child == goal:
-                    return None
                 table[child] = level
                 grown.append(child)
         if len(table) > max_nodes:

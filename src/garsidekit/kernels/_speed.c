@@ -913,33 +913,26 @@ blob_object(int n, long long k, const flist *fs)
 
 /* One breadth-first step: each child parent * move of a packed parent in
  * ``frontier`` that is not a key of ``table`` is stored there with the
- * value ``level`` and listed in the result. Returns None, storing nothing
- * more, at the first new child equal to ``goal``; stops after the first
- * parent whose children bring the table above ``max_nodes``. Each product
- * is normalized as in multiply_nf, on the parent's bytes. */
+ * value ``level`` and listed in the result. Stops after the first parent
+ * whose children bring the table above ``max_nodes``. Each product is
+ * normalized as in multiply_nf, on the parent's bytes. */
 static PyObject *
 py_expand_level(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *frontier = NULL, *moves = NULL, *table, *goal, *grown = NULL, *child, *out = NULL;
+    PyObject *frontier = NULL, *moves = NULL, *table, *grown = NULL, *child, *out = NULL;
     flist mv = {NULL, NULL, 0, 0}, fs = {NULL, NULL, 0, 0};
     u8 buf[MAXN];
     const u8 *pf, *f;
     long long level, max_nodes, k1, k, *mk = NULL;
     Py_ssize_t i, j, r1, count, *mstart = NULL;
     int kind, n, found;
-    if (!nargs_ok("expand_level", nargs, 8) || !kind_arg(args[0], &kind)
+    if (!nargs_ok("expand_level", nargs, 7) || !kind_arg(args[0], &kind)
         || !strands_arg(args[1], &n) || !long_arg(args[5], 0, LLONG_MAX, &level)
-        || !long_arg(args[7], 0, LLONG_MAX, &max_nodes))
+        || !long_arg(args[6], 0, LLONG_MAX, &max_nodes))
         return NULL;
     table = args[4];
-    goal = args[6];
     if (!PyDict_CheckExact(table)) {
         PyErr_Format(PyExc_TypeError, "table must be a dict, not %.100s", Py_TYPE(table)->tp_name);
-        return NULL;
-    }
-    if (goal != Py_None && !PyBytes_Check(goal)) {
-        PyErr_Format(PyExc_TypeError, "goal must be bytes or None, not %.100s",
-                     Py_TYPE(goal)->tp_name);
         return NULL;
     }
     /* Tuples of their own, so that no code run by a dict lookup can change
@@ -985,13 +978,6 @@ py_expand_level(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
             if ((child = blob_object(n, k, &fs)) == NULL)
                 goto done;
             found = PyDict_Contains(table, child);
-            if (found == 0 && goal != Py_None && PyBytes_GET_SIZE(child) == PyBytes_GET_SIZE(goal)
-                && memcmp(PyBytes_AS_STRING(child), PyBytes_AS_STRING(goal),
-                          (size_t)PyBytes_GET_SIZE(goal)) == 0) {
-                Py_DECREF(child);
-                out = Py_NewRef(Py_None);
-                goto done;
-            }
             if (found < 0
                 || (found == 0
                     && (PyDict_SetItem(table, child, args[5]) < 0
@@ -1043,7 +1029,7 @@ static PyMethodDef speed_methods[] = {
                        "Greedy and rational atom lengths of a normal form."),
     KERNEL(peel_lengths, "peel_lengths(kind, n, peels, k, f, rational, /)\n--\n\n"
                          "Greedy or rational length of p * (k, f) for each normal form p."),
-    KERNEL(expand_level, "expand_level(kind, n, frontier, moves, table, level, goal, max_nodes, /)\n--\n\n"
+    KERNEL(expand_level, "expand_level(kind, n, frontier, moves, table, level, max_nodes, /)\n--\n\n"
                          "One breadth-first step over packed normal forms."),
     KERNEL(bkl_atom_index, "bkl_atom_index(t, s, /)\n--\n\n"
                            "Flat index of the band atom joining slots s < t."),

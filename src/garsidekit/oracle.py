@@ -1,31 +1,43 @@
 """Brute-force geodesic lengths by breadth-first search.
 
-One search core serves both entry points: ``enumerate_ball`` keeps every
-state it reaches, and ``geodesic_length`` stops at the first node that is
-its target. The core walks the Cayley graph over the signed atoms level by
-level, deduplicating states by greedy normal form. Each state is held
-once, as one ``bytes`` blob (``kernels.pack_nf``): the delta power as 8
-signed big-endian bytes, wide enough for every power the kernels accept,
-then the factor permutations back to back, ``n`` bytes each. The ball's
-table is the record of visited states, and the frontier holds the table's
-own keys. A level is expanded by ``kernels.expand_level``, one kernel call
-per slice of ``SLICE`` parents, which multiplies, packs and stores the
-children itself.
+One level-growing helper, ``_grow``, serves both entry points. It walks
+the Cayley graph over the signed atoms, deduplicating states by greedy
+normal form, and adds one level to a ball by right multiplication.
+``enumerate_ball`` grows one ball around the identity and keeps every
+state. ``geodesic_length`` searches from both ends (Pohl 1971): one ball
+grows around the identity and one around its target ``x``, one full
+level at a time of the side with the smaller frontier, ties going to the
+identity. The graph is undirected, because the signed atoms are closed
+under inversion, so while the balls of radii r0 and r1 share no state,
+``x`` lies more than r0 + r1 letters away; the first slice of a new level
+of one side that meets the other's table therefore bounds the length by
+one more, and that is the answer. Two balls of half the radius replace
+one of the full radius.
+
+Each state is held once, as one ``bytes`` blob (``kernels.pack_nf``): the
+delta power as 8 signed big-endian bytes, wide enough for every power the
+kernels accept, then the factor permutations back to back, ``n`` bytes
+each. A ball's table is the record of visited states, and its frontier
+holds the table's own keys. A level is expanded by ``kernels.expand_level``,
+one kernel call per slice of ``SLICE`` parents, which multiplies, packs
+and stores the children itself.
 
 Finding the geodesic length is NP-hard in general, so the search is
 exponential by nature and its resource guards are the work it does and the
-time it takes: the core raises :class:`GuardExceeded` once it stores more
-than ``max_nodes`` states (``MAX_NODES``: two million), or, given a
-``deadline``, when the clock read before a slice is past it. On the
-compiled backend the whole 1.9M-state band B_5 ball of radius 6 takes about
-2 s and peaks at about 260 MB of resident memory, and the default search
-for ``(s1 s2^-1)^9`` in Artin B_3, which stops near the budget, about 1.5 s
-and 290 MB (2-CPU x86-64, CPython 3.11). A negative radius raises
-``ValueError``. Without an explicit radius, ``geodesic_length`` searches
-to ``min(len(x), l_R(x))``: the rational normal form written in atoms is
-a word of ``l_R`` letters, so the default search always reaches its
-target. Exact geodesics are only feasible for a handful of strands, and
-nothing here pretends to scale past that.
+time it takes: a search raises :class:`GuardExceeded` once it stores more
+than ``max_nodes`` states (``MAX_NODES``: two million), the states of both
+balls of a two-sided search counted together, or, given a ``deadline``,
+when the clock read before a slice is past it. On the compiled backend the
+whole 1.9M-state band B_5 ball of radius 6 takes about 2 s and peaks at
+about 260 MB of resident memory. The default search for ``(s1 s2^-1)^9``
+in Artin B_3, which needed 1.5 s and 290 MB as one ball, takes about 5 ms
+and peaks at 23 MB, nearly all of it the interpreter and the package
+(0.3 s on the pure twin; 2-CPU x86-64, CPython 3.11). A negative radius
+raises ``ValueError``. Without an explicit radius, ``geodesic_length``
+searches to ``min(len(x), l_R(x))``: the rational normal form written in
+atoms is a word of ``l_R`` letters, so the default search always reaches
+its target. Exact geodesics are only feasible for a handful of strands,
+and nothing here pretends to scale past that.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from .errors import GuardExceeded, NotFound
 from .kernels import pack_nf, unpack_nf
 
 MAX_NODES = 2_000_000
-# Parents per kernel call: the deadline is read between slices.
+# Parents per kernel call: the deadline is read before each slice.
 SLICE = 512
 
 RawNF = tuple[int, tuple[bytes, ...]]
@@ -91,56 +103,42 @@ class BallIndex:
             yield unpack_nf(blob, n), dist
 
 
-def _bfs(
+def _grow(
     structure: StructureDescriptor,
-    radius: int,
+    moves: list[RawNF],
+    table: dict[bytes, int],
+    frontier: list[bytes],
+    level: int,
     max_nodes: int,
-    target: RawNF | None = None,
-    deadline: float | None = None,
-) -> tuple[dict[bytes, int], int | None]:
-    """Breadth-first search from the identity, level by level.
+    deadline: float | None,
+    other: dict[bytes, int] | None = None,
+) -> list[bytes] | None:
+    """Add level ``level`` to ``table`` by right multiplication of
+    ``frontier``, its previous level, by the signed atoms.
 
-    Returns the packed states reached with their distances, and the level
-    at which ``target`` was first generated (None if it never was). The
-    search stops at that node, without finishing its level. Each level is
-    expanded by ``kernels.expand_level`` in slices of ``SLICE`` parents;
-    with a ``deadline`` (a ``time.monotonic()`` value) the clock is read
-    before each slice.
+    Returns the new level, the next frontier. Given the ``other`` side's
+    table of a two-sided search, returns None as soon as a slice of new
+    states meets it; ``max_nodes`` then counts both tables together, and
+    ``GuardExceeded`` is raised once they hold more. The level is expanded
+    by ``kernels.expand_level`` in slices of ``SLICE`` parents; with a
+    ``deadline`` (a ``time.monotonic()`` value) the clock is read before
+    each slice.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    goal = None
-    if target is not None:
-        k, factors = target
-        # Each signed atom moves the delta power by at most one, so the
-        # target lies at least |k| letters away.
-        if abs(k) > radius:
-            return {}, None
-        goal = pack_nf(k, factors)
     code, n = structure.kind_code, structure.strand_count
-    origin = pack_nf(0, ())
-    table: dict[bytes, int] = {origin: 0}
-    if goal == origin:
-        return table, 0
-    moves = _signed_atom_nfs(structure)
-    frontier = [origin]
-    for level in range(1, radius + 1):
-        next_frontier: list[bytes] = []
-        for start in range(0, len(frontier), SLICE):
-            if deadline is not None and time.monotonic() > deadline:
-                raise GuardExceeded(f"search hit its deadline at radius {level}")
-            grown = kernels.expand_level(
-                code, n, frontier[start : start + SLICE], moves, table, level, goal, max_nodes
-            )
-            if grown is None:
-                return table, level
-            next_frontier += grown
-            if len(table) > max_nodes:
-                raise GuardExceeded(
-                    f"search exceeded {max_nodes} nodes at radius {level}"
-                )
-        frontier = next_frontier
-    return table, None
+    budget = max_nodes if other is None else max_nodes - len(other)
+    next_frontier: list[bytes] = []
+    for start in range(0, len(frontier), SLICE):
+        if deadline is not None and time.monotonic() > deadline:
+            raise GuardExceeded(f"search hit its deadline at radius {level}")
+        grown = kernels.expand_level(
+            code, n, frontier[start : start + SLICE], moves, table, level, max(budget, 0)
+        )
+        if other is not None and not other.keys().isdisjoint(grown):
+            return None
+        if len(table) > budget:
+            raise GuardExceeded(f"search exceeded {max_nodes} nodes at radius {level}")
+        next_frontier += grown
+    return next_frontier
 
 
 def enumerate_ball(
@@ -154,7 +152,14 @@ def enumerate_ball(
     ``deadline`` is an absolute ``time.monotonic()`` value; past it the
     search raises :class:`GuardExceeded`.
     """
-    table, _ = _bfs(structure, radius, max_nodes, deadline=deadline)
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    moves = _signed_atom_nfs(structure)
+    origin = pack_nf(0, ())
+    table = {origin: 0}
+    frontier = [origin]
+    for level in range(1, radius + 1):
+        frontier = _grow(structure, moves, table, frontier, level, max_nodes, deadline)
     return BallIndex(structure=structure, radius=radius, table=table)
 
 
@@ -166,10 +171,12 @@ def geodesic_length(
 ) -> int:
     """Exact minimal letter count of ``x`` over the signed atoms.
 
-    Searches outward level by level and stops as soon as the target's
-    normal form appears. The default radius ``min(len(x), l_R(x))`` bounds
-    the geodesic length, so only an explicit ``max_radius`` below it
-    raises :class:`NotFound`. Past ``deadline``, an absolute
+    Grows one ball around the identity and one around ``x``, each by
+    right multiplication, a full level of the side with the smaller
+    frontier at a time, and stops when they meet. The default radius
+    ``min(len(x), l_R(x))`` bounds the geodesic length, so only an
+    explicit ``max_radius`` below it raises :class:`NotFound`. The node
+    budget ``max_nodes`` covers both balls. Past ``deadline``, an absolute
     ``time.monotonic()`` value, the search raises :class:`GuardExceeded`.
     """
     structure = x.structure
@@ -179,7 +186,30 @@ def geodesic_length(
             structure.kind_code, structure.strand_count, k, factors
         )
         max_radius = min(len(x), ell_r)
-    _, level = _bfs(structure, max_radius, max_nodes, (k, factors), deadline)
-    if level is None:
+    if max_radius < 0:
+        raise ValueError("radius must be non-negative")
+    origin, target = pack_nf(0, ()), pack_nf(k, factors)
+    if target == origin:
+        return 0
+    # Each signed atom moves the delta power by at most one, so the target
+    # lies at least |k| letters away.
+    if abs(k) > max_radius:
         raise NotFound(f"no representative within {max_radius} letters")
-    return level
+    moves = _signed_atom_nfs(structure)
+    # Per side: its table, its frontier and the radius it covers. While
+    # the balls of radii r0 and r1 are disjoint, x lies more than r0 + r1
+    # away; a new state of one side in the other's table bounds it by
+    # one more.
+    sides = [({origin: 0}, [origin], 0), ({target: 0}, [target], 0)]
+    while sides[0][2] + sides[1][2] < max_radius:
+        # The smaller frontier grows; on a tie, the identity's.
+        i = int(len(sides[1][1]) < len(sides[0][1]))
+        table, frontier, radius = sides[i]
+        other = sides[1 - i]
+        frontier = _grow(
+            structure, moves, table, frontier, radius + 1, max_nodes, deadline, other[0]
+        )
+        if frontier is None:
+            return radius + 1 + other[2]
+        sides[i] = (table, frontier, radius + 1)
+    raise NotFound(f"no representative within {max_radius} letters")

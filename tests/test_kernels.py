@@ -318,8 +318,8 @@ class TestBackendEquivalence:
     )
     def test_expand_level_against_pure(self, compiled_speed, make, n, radius, rng):
         """Both twins grow the same table, in the same order, and return the
-        same next frontier, also when a goal or the node budget stops them
-        in the middle of a level."""
+        same next frontier, also when the node budget stops them in the
+        middle of a level."""
         structure = make(n)
         kind = structure.kind_code
         moves = [
@@ -329,16 +329,15 @@ class TestBackendEquivalence:
         ]
         ball = list(enumerate_ball(structure, radius).table.items())
 
-        def expand(frontier, seen, level, goal, max_nodes):
+        def expand(frontier, seen, level, max_nodes):
             outcomes = []
             for twin in (_pure, compiled_speed):
                 table = dict(seen)
-                grown = twin.expand_level(kind, n, frontier, moves, table, level, goal, max_nodes)
+                grown = twin.expand_level(kind, n, frontier, moves, table, level, max_nodes)
                 new = list(table)[len(seen) :]
-                if grown is not None:
-                    # The next frontier holds the table's own keys.
-                    assert len(grown) == len(new)
-                    assert all(a is b for a, b in zip(grown, new))
+                # The next frontier holds the table's own keys.
+                assert len(grown) == len(new)
+                assert all(a is b for a, b in zip(grown, new))
                 outcomes.append((list(table.items()), grown))
             assert outcomes[0] == outcomes[1]
             return outcomes[0]
@@ -347,14 +346,11 @@ class TestBackendEquivalence:
             frontier = [blob for blob, _ in rng.sample(ball, min(60, len(ball)))]
             seen = rng.sample(ball, len(ball) // 2)
             level = rng.randrange(1, 2 * radius)
-            table, full = expand(frontier, seen, level, None, 10**9)
+            table, full = expand(frontier, seen, level, 10**9)
             assert len(full) > 4
             assert table[len(seen) :] == [(blob, level) for blob in full]
             half = len(full) // 2
-            table, grown = expand(frontier, seen, level, full[half], 10**9)
-            assert grown is None
-            assert table[len(seen) :] == [(blob, level) for blob in full[:half]]
-            table, grown = expand(frontier, seen, level, None, len(seen) + half)
+            table, grown = expand(frontier, seen, level, len(seen) + half)
             assert len(seen) + half < len(table) < len(seen) + len(full)
             assert grown == full[: len(grown)]
 
@@ -554,19 +550,18 @@ BAD_CALLS = [
     "peel_lengths(0, 3, [(2**41, ())], 0, (), 1)",
     "peel_lengths(0, 3, [(0, ())], -2**41, (), 1)",
     # Packed normal forms: 8 bytes of delta power, then factors of n bytes.
-    r"expand_level(0, 3, [bytes(7)], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
-    r"expand_level(0, 3, [bytes(8) + b'\x00\x01'], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
-    r"expand_level(0, 3, [bytes(8) + b'\x00\x00\x01'], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
-    r"expand_level(0, 3, [(2**41).to_bytes(8, 'big')], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
-    r"expand_level(0, 3, [(-2**41).to_bytes(8, 'big', signed=True)], [(0, ())], {}, 1, None, 10)",
-    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], [], 1, None, 10)",
-    r"expand_level(0, 3, ['\x00' * 8], [(0, (b'\x01\x00\x02',))], {}, 1, None, 10)",
-    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], {}, 1, 'x', 10)",
-    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], {}, -1, None, 10)",
-    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], {}, 1, None, -1)",
-    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x00\x09\x01',))], {}, 1, None, 10)",
-    "expand_level(0, 1000, [], [], {}, 1, None, 10)",
-    "expand_level(0, 3, [], [], {}, 1, None, 2**63)",
+    r"expand_level(0, 3, [bytes(7)], [(0, (b'\x01\x00\x02',))], {}, 1, 10)",
+    r"expand_level(0, 3, [bytes(8) + b'\x00\x01'], [(0, (b'\x01\x00\x02',))], {}, 1, 10)",
+    r"expand_level(0, 3, [bytes(8) + b'\x00\x00\x01'], [(0, (b'\x01\x00\x02',))], {}, 1, 10)",
+    r"expand_level(0, 3, [(2**41).to_bytes(8, 'big')], [(0, (b'\x01\x00\x02',))], {}, 1, 10)",
+    r"expand_level(0, 3, [(-2**41).to_bytes(8, 'big', signed=True)], [(0, ())], {}, 1, 10)",
+    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], [], 1, 10)",
+    r"expand_level(0, 3, ['\x00' * 8], [(0, (b'\x01\x00\x02',))], {}, 1, 10)",
+    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], {}, -1, 10)",
+    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x01\x00\x02',))], {}, 1, -1)",
+    r"expand_level(0, 3, [bytes(8)], [(0, (b'\x00\x09\x01',))], {}, 1, 10)",
+    "expand_level(0, 1000, [], [], {}, 1, 10)",
+    "expand_level(0, 3, [], [], {}, 1, 2**63)",
     # Band factors that are permutations but not band simples: a cycle that
     # does not ascend, and two blocks that cross.
     r"multiply_nf(1, 3, 0, (b'\x02\x00\x01',), 0, (b'\x01\x02\x00',))",
@@ -580,10 +575,10 @@ BAD_CALLS = [
     "peel_lengths(1, 4, [(0, (bytes([2, 3, 0, 1]),))], 0, (), 1)",
     r"peel_lengths(1, 3, [(0, ())], 0, (b'\x02\x00\x01',), 0)",
     "peel_lengths(1, 4, [], 0, (bytes([2, 3, 0, 1]),), 1)",
-    r"expand_level(1, 3, [bytes(8) + b'\x02\x00\x01'], [(0, (b'\x01\x02\x00',))], {}, 1, None, 10)",
-    "expand_level(1, 4, [bytes(8) + bytes([2, 3, 0, 1])], [(0, ())], {}, 1, None, 10)",
-    r"expand_level(1, 3, [bytes(8)], [(0, (b'\x02\x00\x01',))], {}, 1, None, 10)",
-    "expand_level(1, 4, [bytes(8)], [(0, (bytes([2, 3, 0, 1]),))], {}, 1, None, 10)",
+    r"expand_level(1, 3, [bytes(8) + b'\x02\x00\x01'], [(0, (b'\x01\x02\x00',))], {}, 1, 10)",
+    "expand_level(1, 4, [bytes(8) + bytes([2, 3, 0, 1])], [(0, ())], {}, 1, 10)",
+    r"expand_level(1, 3, [bytes(8)], [(0, (b'\x02\x00\x01',))], {}, 1, 10)",
+    "expand_level(1, 4, [bytes(8)], [(0, (bytes([2, 3, 0, 1]),))], {}, 1, 10)",
 ]
 
 PROBE = """

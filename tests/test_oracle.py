@@ -11,6 +11,7 @@ from garsidekit.artin import artin_structure
 from garsidekit.bkl import bkl_structure
 from garsidekit.core import greedy_nf, recompose
 from garsidekit.errors import GuardExceeded, NotFound
+from garsidekit.kernels import _pure
 from garsidekit.lengths import positive_length, rational_length
 from garsidekit.oracle import BallIndex, enumerate_ball, geodesic_length
 from garsidekit.syntax import parse_word
@@ -19,6 +20,18 @@ from garsidekit.syntax import parse_word
 @pytest.fixture
 def b3():
     return artin_structure(3)
+
+
+class TickingClock:
+    """A fake ``time`` whose clock advances one tick per reading, so that a
+    deadline falls at a fixed point of a search however fast the machine
+    is."""
+
+    readings = 0
+
+    def monotonic(self):
+        self.readings += 1
+        return self.readings
 
 
 class TestGeodesicLength:
@@ -46,6 +59,43 @@ class TestGeodesicLength:
         for _ in range(50):
             w = random_word(rng, band, 10)
             assert geodesic_length(w) == rational_length(w)
+
+    def test_band_b3_theorem_at_30_letters(self, compiled_speed, monkeypatch, rng):
+        # The same theorem on words of 30 letters, whose geodesics reach 16
+        # letters and more: one ball of that radius holds millions of states,
+        # two of half of it some thousands. The pure twin takes about a
+        # second per word here, so only the compiled one runs.
+        monkeypatch.setattr(kernels, "expand_level", compiled_speed.expand_level)
+        band = bkl_structure(3)
+        lengths = []
+        for _ in range(20):
+            w = band.word([(rng.randrange(3), rng.choice((1, -1))) for _ in range(30)])
+            lengths.append(rational_length(w))
+            assert geodesic_length(w) == lengths[-1]
+        assert max(lengths) >= 16
+
+    def test_long_alternating_word(self, b3, twins, monkeypatch):
+        # (s1 s2^-1)^9 is geodesic; one ball of radius 17 already holds
+        # 1.5 million states.
+        w = parse_word("s1 s2^-1 " * 9, b3)
+        for twin in twins.values():
+            monkeypatch.setattr(kernels, "expand_level", twin.expand_level)
+            assert geodesic_length(w) == 18
+            with pytest.raises(NotFound):
+                geodesic_length(w, max_radius=17)
+
+    @pytest.mark.parametrize(
+        "make,n,radius",
+        [(artin_structure, 3, 8), (bkl_structure, 3, 6), (artin_structure, 4, 6), (bkl_structure, 4, 4)],
+    )
+    def test_mixed_sign_words_match_ball(self, make, n, radius, twins, monkeypatch, rng):
+        structure = make(n)
+        ball = enumerate_ball(structure, radius)
+        words = [random_word(rng, structure, radius) for _ in range(40)]
+        for twin in twins.values():
+            monkeypatch.setattr(kernels, "expand_level", twin.expand_level)
+            for w in words:
+                assert geodesic_length(w) == ball.lookup(w), w
 
     def test_infimum_exit_runs_no_search(self, b3, monkeypatch):
         calls = []
@@ -88,14 +138,6 @@ class TestGeodesicLength:
         slices = [-(-spheres[d] // oracle.SLICE) for d in range(radius)]
         assert slices[-1] > 1
         readings = sum(slices)
-
-        class TickingClock:
-            readings = 0
-
-            def monotonic(self):
-                self.readings += 1
-                return self.readings
-
         clock = TickingClock()
         monkeypatch.setattr(oracle, "time", clock)
         expanded = []
@@ -113,6 +155,35 @@ class TestGeodesicLength:
         clock.readings = 0
         expanded.clear()
         assert len(enumerate_ball(b3, radius, deadline=readings + 0.5)) == 11047
+
+    def test_query_deadline_between_slices(self, b3, monkeypatch):
+        # The two-sided search reads the clock before each slice of either
+        # side, and every reading but the last is followed by exactly one
+        # expand_level call. Slices of 4 parents put several slices in a
+        # level, so a check once per level would read the clock fewer times
+        # than the search has slices.
+        monkeypatch.setattr(oracle, "SLICE", 4)
+        clock = TickingClock()
+        monkeypatch.setattr(oracle, "time", clock)
+        expanded = []
+        expand_level = kernels.expand_level
+
+        def counting(*args):
+            expanded.append(clock.readings)
+            return expand_level(*args)
+
+        monkeypatch.setattr(kernels, "expand_level", counting)
+        w = parse_word("s1 s2^-1 " * 4, b3)
+        assert geodesic_length(w, deadline=float("inf")) == 8
+        readings = clock.readings
+        assert expanded == list(range(1, readings + 1))
+        assert readings > 8  # more slices than levels
+        clock.readings = 0
+        expanded.clear()
+        with pytest.raises(GuardExceeded, match="deadline"):
+            geodesic_length(w, deadline=readings - 0.5)
+        assert clock.readings == readings
+        assert expanded == list(range(1, readings))
 
     def test_past_deadline(self, b3):
         with pytest.raises(GuardExceeded, match="deadline"):
@@ -187,17 +258,27 @@ class TestExactness:
             (bkl_structure, 4, 4),
         ],
     )
-    def test_geodesic_length_matches_ball(self, make, n, radius, rng):
-        """Both entry points agree on sampled nodes of every sphere."""
+    def test_geodesic_length_matches_ball(self, make, n, radius, twins, monkeypatch, rng):
+        """The two-sided search finds the ball's distance on every node of
+        the B_3 spheres and on 50 nodes of each B_4 sphere, on each twin,
+        and nothing one letter short of it. The pure twin's band search is
+        slow, so it samples band B_3 too."""
         structure = make(n)
         ball = enumerate_ball(structure, radius)
         spheres = [[] for _ in range(radius + 1)]
         for nf, dist in ball.items():
             spheres[dist].append(nf)
         assert all(spheres)
-        for dist, sphere in enumerate(spheres):
-            for nf in rng.sample(sphere, min(4, len(sphere))):
-                assert geodesic_length(recompose(nf), max_radius=radius) == dist
+        for twin in twins.values():
+            monkeypatch.setattr(kernels, "expand_level", twin.expand_level)
+            every = n == 3 and (twin is not _pure or make is artin_structure)
+            for dist, sphere in enumerate(spheres):
+                for nf in sphere if every else rng.sample(sphere, min(50, len(sphere))):
+                    w = recompose(nf)
+                    assert geodesic_length(w) == dist
+                    if dist:
+                        with pytest.raises(NotFound):
+                            geodesic_length(w, max_radius=dist - 1)
 
 
 class TestOracleProperties:
