@@ -63,8 +63,8 @@ class TestGeodesicLength:
     def test_band_b3_theorem_at_30_letters(self, compiled_speed, monkeypatch, rng):
         # The same theorem on words of 30 letters, whose geodesics reach 16
         # letters and more: one ball of that radius holds millions of states,
-        # two of half of it some thousands. The pure twin takes about a
-        # second per word here, so only the compiled one runs.
+        # two of half of it some thousands. The pure twin takes about 0.7 s
+        # per word here, so only the compiled one runs.
         monkeypatch.setattr(kernels, "expand_level", compiled_speed.expand_level)
         band = bkl_structure(3)
         lengths = []
