@@ -50,7 +50,7 @@ def bkl_validate(structure: StructureDescriptor, blocks: Sequence[Sequence[int]]
     _check_bkl(structure)
     n = structure.strand_count
     flat = [x for block in blocks for x in block]
-    if sorted(flat) != list(range(1, n + 1)):
+    if sorted(flat) != list(range(1, n + 1)) or not all(blocks):
         raise ValueError(f"blocks do not partition 1..{n}: {blocks!r}")
     perm = bytearray(range(n))
     for block in blocks:

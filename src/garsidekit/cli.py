@@ -116,10 +116,10 @@ def _cmd_experiment(args) -> int:
 def _cmd_compare(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
-    doc["metric"] = args.metric_a
-    cfg_a = ExperimentConfig.from_json(doc)
-    doc["metric"] = args.metric_b
-    cfg_b = ExperimentConfig.from_json(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a config must be a JSON object: {doc!r}")
+    cfg_a = ExperimentConfig.from_json(dict(doc, metric=args.metric_a))
+    cfg_b = ExperimentConfig.from_json(dict(doc, metric=args.metric_b))
     report = compare_metrics(cfg_a, cfg_b, workers=args.workers)
     if args.csv_a:
         write_csv(report.result_a, args.csv_a)

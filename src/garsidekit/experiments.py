@@ -62,15 +62,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            ns=doc["ns"],
-            wl=doc["wl"],
-            ng=doc["ng"],
-            sl=doc["sl"],
-            samples=doc["samples"],
-            metric=LengthMetric.from_name(doc["metric"]),
-            seed=doc["seed"],
-        )
+        ints = ("ns", "wl", "ng", "sl", "samples", "seed")
+        if not isinstance(doc, dict) or any(type(doc.get(k)) is not int for k in ints):
+            raise ValueError(f"a config needs the integer fields {', '.join(ints)}: {doc!r}")
+        return cls(metric=LengthMetric.from_name(doc.get("metric")), **{k: doc[k] for k in ints})
 
     def to_json(self) -> dict:
         doc = dataclasses.asdict(self)

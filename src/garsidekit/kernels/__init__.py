@@ -9,7 +9,7 @@ without building the products, and ``expand_level``, one breadth-first
 step of the oracle over packed normal forms. Both twins have identical
 semantics, and each raises ``ValueError`` on a factor that is not a simple
 of the structure: every permutation is an Artin simple, but a band factor
-must be a band simple, because the compiled band meet is exact only there.
+must be a band simple, because the band meet is exact only there.
 The compiled backend is preferred when importable; set
 ``GARSIDEKIT_PURE=1`` to force the pure one (useful for debugging).
 

@@ -121,26 +121,6 @@ def invert(p: bytes) -> bytes:
     return bytes(out)
 
 
-def _cycle_labels(p: bytes) -> bytearray:
-    """Label each slot with the minimum of its cycle.
-
-    Scanning slots in ascending order guarantees the first unvisited slot
-    of a cycle is its minimum.
-    """
-    n = len(p)
-    labels = bytearray(n)
-    seen = bytearray(n)
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        while not seen[j]:
-            seen[j] = 1
-            labels[j] = i
-            j = p[j]
-    return labels
-
-
 def simple_len(kind: int, p: bytes) -> int:
     n = len(p)
     if kind == KIND_ARTIN:
@@ -151,9 +131,10 @@ def simple_len(kind: int, p: bytes) -> int:
                 if pi > p[j]:
                     count += 1
         return count
-    labels = _cycle_labels(p)
-    blocks = len({labels[i] for i in range(n)})
-    return n - blocks
+    # n minus the block count: all but the largest slot of a block map upward.
+    if not is_permutation(p, n):
+        raise ValueError(f"{p!r} is not a permutation of range({n})")
+    return sum(x > i for i, x in enumerate(p))
 
 
 def tau_simple(kind: int, p: bytes, k: int) -> bytes:
@@ -240,22 +221,34 @@ def meet(kind: int, s: bytes, t: bytes) -> bytes:
     if len(t) != n:
         raise ValueError(f"simples of {n} and {len(t)} strands")
     if kind == KIND_BKL:
-        # Common refinement of the two partitions; the intersection of
-        # non-crossing partitions is non-crossing. Its blocks are the
-        # slots sharing a block of ``s`` and a block of ``t``, each walked
-        # upward as one cycle.
+        # The common refinement of the two partitions. The slot after ``at``
+        # in its meet block is the first slot after it on the upward walk
+        # along ``s`` that shares its block of ``t``; the walk ends without
+        # one when it wraps or passes ``end``, the largest slot of that
+        # block. It ends at all only when ``s`` is a permutation.
+        if not (is_permutation(s, n) and is_permutation(t, n)):
+            raise ValueError(f"{s!r} or {t!r} is not a permutation of range({n})")
+        top = bytearray(n)
+        for i in range(n - 1, -1, -1):
+            top[i] = top[t[i]] if t[i] > i else i
         out = bytearray(n)
-        first: dict[tuple[int, int], int] = {}
-        last: dict[tuple[int, int], int] = {}
-        for i, block in enumerate(zip(_cycle_labels(s), _cycle_labels(t))):
-            j = last.get(block)
-            if j is None:
-                first[block] = i
-            else:
-                out[j] = i
-            last[block] = i
-        for block, j in last.items():
-            out[j] = first[block]
+        done = bytearray(n)
+        # An ascending scan meets each block first at its smallest slot.
+        for i in range(n):
+            if done[i]:
+                continue
+            end = top[i]
+            at = i
+            while True:
+                done[at] = 1
+                j = s[at]
+                while at < j < end and top[j] != end:
+                    j = s[j]
+                if j <= at or j > end:
+                    break
+                out[at] = j
+                at = j
+            out[at] = i
         return bytes(out)
     # Greedily peel atoms dividing both arguments; any peel order yields
     # the same gcd.
@@ -635,13 +628,14 @@ def simple_to_atoms(kind: int, p: bytes) -> tuple[int, ...]:
             else:
                 i += 1
         return tuple(word)
-    labels = _cycle_labels(p)
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(labels[i], []).append(i)
+    # Blocks in the order of their smallest slots, each spelled from its
+    # largest slot down: the inverse maps the smallest slot to the largest
+    # and every other slot to the next smaller one.
+    q = invert(p)
     word2: list[int] = []
-    for lab in sorted(members):
-        block = members[lab]
-        for j in range(len(block) - 1, 0, -1):
-            word2.append(bkl_atom_index(block[j], block[j - 1]))
+    for i in range(n):
+        at = q[i]
+        while at > i:
+            word2.append(bkl_atom_index(at, q[at]))
+            at = q[at]
     return tuple(word2)

@@ -22,14 +22,9 @@
  * unchanged (a trivial twist, the factors a product leaves alone), so does
  * this one, so callers that keep many normal forms share their factors.
  *
- * The algorithms are the pure twin's, on C arrays, save in the band meet
- * and the band simple length, where band normalization spent most of its
- * time in a profile of the ranking: ``meet_into`` walks the blocks of one
- * argument upward instead of labelling the cycles of both, and a band
- * simple's length counts the slots that do not map upward. Both are exact
- * only on band simples, so every band factor is checked at the boundary.
- * The test suite compares both twins on every pair of small simples, so
- * the pure twin's cycle-label meet judges the block walk.
+ * The algorithms are the pure twin's, on C arrays. The band meet, which
+ * walks the blocks of one argument upward, is exact only on band simples,
+ * so every band factor is checked at the boundary.
  *
  * Every entry point checks its arguments before it touches memory: the
  * kind is 0 or 1, a strand count lies in 0..256 (``core.MAX_STRANDS``, the
@@ -241,17 +236,17 @@ artin_inversions(const u8 *p, int n)
     return count;
 }
 
-/* A band simple's length is n minus its block count, and each block has
- * one slot that does not map upward: its largest. */
+/* A band simple's length is n minus its block count: every slot but the
+ * largest of its block maps upward. */
 static int
 simple_length(int kind, const u8 *p, int n)
 {
-    int i, blocks = 0;
+    int i, up = 0;
     if (kind == KIND_ARTIN)
         return artin_inversions(p, n);
     for (i = 0; i < n; i++)
-        blocks += p[i] <= i;
-    return n - blocks;
+        up += p[i] > i;
+    return up;
 }
 
 static long long

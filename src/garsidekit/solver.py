@@ -75,18 +75,33 @@ class EquationSpec:
              "generators": {"x1": ["s1 s1", "s2 s2"]},
              "parameters": {"p1": "s2"},
              "target": "s1 s2 s1"}
+
+        ``generators`` and ``parameters`` may be left out; any other shape
+        raises ``ValueError``.
         """
+        if not isinstance(doc, dict):
+            raise ValueError(f"an equation spec must be a JSON object, not {doc!r}")
+        generators = doc.get("generators", {})
+        parameters = doc.get("parameters", {})
+        if not (
+            isinstance(generators, dict)
+            and isinstance(parameters, dict)
+            and _strings(doc.get("template"))
+            and _strings([doc.get("target"), *parameters.values()])
+            and all(map(_strings, generators.values()))
+        ):
+            raise ValueError(f"an equation spec not of the wire format: {doc!r}")
         template = tuple(_parse_token(t) for t in doc["template"])
         generators = {
             name: tuple(parse_word(w, structure) for w in words)
-            for name, words in doc.get("generators", {}).items()
+            for name, words in generators.items()
         }
-        parameters = {
-            name: parse_word(w, structure)
-            for name, w in doc.get("parameters", {}).items()
-        }
-        target = parse_word(doc["target"], structure)
-        return cls(template, generators, parameters, target)
+        parameters = {name: parse_word(w, structure) for name, w in parameters.items()}
+        return cls(template, generators, parameters, parse_word(doc["target"], structure))
+
+
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def _parse_token(text: str) -> Token:

@@ -40,6 +40,19 @@ def cycles_of(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def refinement_meet(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """Band meet by its definition: the common refinement of the two
+    partitions, each block a cycle that walks its slots upward."""
+    out = list(range(len(s)))
+    t_cycles = [set(b) for b in cycles_of(t)]
+    for a in cycles_of(s):
+        for b in t_cycles:
+            block = sorted(b.intersection(a))
+            for x, y in zip(block, block[1:] + block[:1]):
+                out[x] = y
+    return tuple(out)
+
+
 def blocks_cross(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """The raw definition: x < y < z < w alternating between the blocks."""
     for x, z in itertools.combinations(a, 2):

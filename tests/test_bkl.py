@@ -70,6 +70,8 @@ class TestValidate:
             bkl_validate(s, [[1, 2]])
         with pytest.raises(ValueError):
             bkl_validate(s, [[1, 2], [2, 3]])
+        with pytest.raises(ValueError):
+            bkl_validate(s, [[1, 2, 3], []])
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6))
     def test_counts_match_closure(self, n):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from garsidekit import kernels
 from garsidekit.artin import artin_structure
 from garsidekit.bkl import bkl_structure
 from garsidekit.cli import dispatch
@@ -107,6 +108,22 @@ class TestDispatch:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "neg (s1 s2)(s2 s1) pos (s2 s1)(s1 s2)"
+
+    @pytest.mark.parametrize(
+        "form,printed",
+        [
+            ("greedy", "D^-1 (a(4,3) a(3,2) a(2,1) a(6,5))(a(6,4) a(4,1) a(3,2))(a(4,1))(a(2,1))"),
+            ("rational", "neg (a(5,1)) pos (a(6,4) a(4,1) a(3,2))(a(4,1))(a(2,1))"),
+        ],
+    )
+    def test_nf_band_golden(self, kit, monkeypatch, capsys, form, printed):
+        """A band B_6 word's forms, as printed before the pure twin took up
+        the block walk: normal forms, meets and atom spellings unchanged."""
+        for name in ("word_to_nf", "multiply_nf", "invert_nf", "nf_lengths"):
+            monkeypatch.setattr(kernels, name, getattr(kit, name))
+        word = "a(6,1) a(3,2) a(5,4) a(4,1) a(6,5)^-1 a(2,1)"
+        assert dispatch(["nf", "--structure", "bkl", "--strands", "6", "--form", form, word]) == 0
+        assert capsys.readouterr().out.strip() == printed
 
     def test_nf_greedy(self, capsys):
         assert dispatch(["nf", "--strands", "3", "s1 s2 s1"]) == 0
@@ -258,3 +275,49 @@ class TestDispatch:
         assert dispatch(["solve", "--spec", str(tmp_path / "missing.json"),
                          "--strands", "3", "--n", "1"]) == 2
         assert dispatch(["nonsense"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {},
+            [],
+            "s1",
+            {"template": ["x1"], "generators": {"x1": ["s1"]}},
+            {"template": [5], "generators": {"x1": ["s1"]}, "target": "s1"},
+            {"template": "x1", "generators": {"x1": ["s1"]}, "target": "s1"},
+            {"template": ["x1"], "generators": {"x1": "s1 s2"}, "target": "s1"},
+            {"template": ["x1"], "generators": [["s1"]], "target": "s1"},
+            {"template": ["x1", "p1"], "generators": {"x1": ["s1"]},
+             "parameters": {"p1": 2}, "target": "s1"},
+            {"template": ["x1"], "generators": {"x1": ["s1"]}, "target": ["s1"]},
+        ],
+    )
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps(spec))
+        argv = ["solve", "--spec", str(path), "--strands", "3", "--n", "1"]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["experiment", "compare"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1, 2],
+            {"ns": 3},
+            [["ns", 4], ["wl", 2], ["ng", 2], ["sl", 2], ["samples", 5], ["seed", 3]],
+            {"ns": 4, "wl": "2", "ng": 2, "sl": 2, "samples": 5, "seed": 3,
+             "metric": "rational-bkl"},
+            {"ns": 4, "wl": 2, "ng": 2, "sl": 2, "samples": 5, "seed": None,
+             "metric": "rational-bkl"},
+        ],
+    )
+    def test_malformed_config_exit_2(self, tmp_path, capsys, command, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path)]
+        if command == "experiment":
+            argv += ["--csv", str(tmp_path / "out.csv")]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out.csv").exists()

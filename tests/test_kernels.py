@@ -71,6 +71,31 @@ class TestLatticeAgainstBruteForce:
             )
 
 
+class TestBandLatticeByDefinition:
+    """The block walk that both twins run for the band meet, and the band
+    length and spelling, against the definitions of ``brute``."""
+
+    def test_meet_is_the_common_refinement(self):
+        kind = kernels.KIND_BKL
+        for n in range(8):
+            simples = brute.all_simples(kind, n)
+            for s, t in itertools.product(simples, repeat=2):
+                expected = bytes(brute.refinement_meet(s, t))
+                assert _pure.meet(kind, bytes(s), bytes(t)) == expected, (s, t)
+
+    def test_length_and_atoms(self):
+        kind = kernels.KIND_BKL
+        for n in range(9):
+            for s in brute.all_simples(kind, n):
+                length = _pure.simple_len(kind, bytes(s))
+                assert length == brute.simple_length(kind, s), s
+                atoms = _pure.simple_to_atoms(kind, bytes(s))
+                product = tuple(range(n))
+                for a in atoms:
+                    product = brute.compose(product, tuple(_pure.atom_perm(kind, n, a)))
+                assert (len(atoms), product) == (length, s)
+
+
 class TestIsSimple:
     """is_simple against the raw definitions of brute.py."""
 
@@ -371,8 +396,8 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("kind,top", [(kernels.KIND_BKL, 6), (kernels.KIND_ARTIN, 5)])
     def test_every_pair_of_simples(self, compiled_speed, kind, top):
         """The lattice core, exhaustively: both twins multiply and score
-        every pair of simples alike. The pure twin meets band simples by
-        their cycle labels and the compiled one by walking their blocks."""
+        every pair of simples alike. Both meet band simples by the same
+        block walk, which ``TestBandLatticeByDefinition`` judges."""
         for n in range(top + 1):
             simples = [bytes(p) for p in brute.all_simples(kind, n)]
             peels = [(0, (s,)) for s in simples]
@@ -513,6 +538,8 @@ BAD_CALLS = [
     r"join(1, b'\x00', b'\x01\x00')",
     "meet(0, 'abc', 'abc')",
     r"simple_len(1, b'\x05\x00')",
+    # Not a permutation: the band meet's block walk would never end.
+    r"meet(1, b'\x00\x02\x02\x00', bytes([0, 3, 2, 1]))",
     r"left_divides(0, b'\x01\x00', b'\x00')",
     r"left_divides(0, b'\x00', b'\x01\x00')",
     r"left_complement(0, b'\x07\x00\x01')",
