@@ -117,8 +117,8 @@ class TestDispatch:
         ],
     )
     def test_nf_band_golden(self, kit, monkeypatch, capsys, form, printed):
-        """A band B_6 word's forms, as printed before the pure twin took up
-        the block walk: normal forms, meets and atom spellings unchanged."""
+        """A band B_6 word's greedy and rational forms on each twin, which
+        pin its band normal form, meets and atom spellings."""
         for name in ("word_to_nf", "multiply_nf", "invert_nf", "nf_lengths"):
             monkeypatch.setattr(kernels, name, getattr(kit, name))
         word = "a(6,1) a(3,2) a(5,4) a(4,1) a(6,5)^-1 a(2,1)"
