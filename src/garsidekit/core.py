@@ -137,6 +137,8 @@ class SimpleElement:
             raise ValueError(
                 f"{len(self.data)} bytes for {self.structure.strand_count} strands"
             )
+        if not kernels.is_simple(self.structure.kind_code, self.data):
+            raise ValueError(f"{self.data!r} is not a simple of {self.structure!r}")
 
     @property
     def one_line(self) -> tuple[int, ...]:
@@ -284,11 +286,13 @@ class RationalNF:
 
 
 def _from_kernel(cls, *values):
-    """A ``GreedyNF`` or ``RationalNF`` built from normal-form kernel output.
+    """A ``SimpleElement``, ``GreedyNF`` or ``RationalNF`` built from
+    normal-form kernel output.
 
-    The kernels return only left-weighted factors, none trivial (nor delta,
-    in a greedy form), so the pair checks of ``__post_init__``, which guard
-    objects built from outside input, are skipped.
+    The kernels return only simples, and only left-weighted factors, none
+    trivial (nor delta, in a greedy form), so the checks of
+    ``__post_init__``, which guard objects built from outside input, are
+    skipped.
     """
     nf = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, values):
@@ -296,10 +300,12 @@ def _from_kernel(cls, *values):
     return nf
 
 
+def _simples(structure: StructureDescriptor, factors) -> tuple[SimpleElement, ...]:
+    return tuple(_from_kernel(SimpleElement, structure, f) for f in factors)
+
+
 def _nf_from_raw(structure: StructureDescriptor, k: int, factors) -> GreedyNF:
-    return _from_kernel(
-        GreedyNF, structure, k, tuple(SimpleElement(structure, f) for f in factors)
-    )
+    return _from_kernel(GreedyNF, structure, k, _simples(structure, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +413,7 @@ def rational_nf(g: GreedyNF) -> RationalNF:
         structure.kind_code, structure.strand_count, *g.raw()
     )
     return _from_kernel(
-        RationalNF,
-        structure,
-        tuple(SimpleElement(structure, f) for f in neg),
-        tuple(SimpleElement(structure, f) for f in pos),
+        RationalNF, structure, _simples(structure, neg), _simples(structure, pos)
     )
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 from . import kernels
 from .artin import artin_structure
 from .core import BraidWord
-from .lengths import LengthMetric, to_metric_structure
+from .lengths import LengthMetric, metric_nf
 
 
 def child_rng(seed: int, *path: object) -> random.Random:
@@ -125,23 +125,21 @@ def gen_sample(cfg: ExperimentConfig, index: int) -> ExperimentSample:
     return ExperimentSample(generators, structure.word(letters))
 
 
-def compute_cor(
-    sample: ExperimentSample, sentence_length: int | None = None
-) -> frozenset[int]:
+def compute_cor(sample: ExperimentSample) -> frozenset[int]:
     """Generators that can legally stand first in the sentence.
 
     Generator i qualifies when X equals ``a_i`` times the sentence with
     the first occurrence of ``a_i`` removed (for generators that do not
     occur, when ``a_i`` is trivial). Index 1 always qualifies. The factor
-    count is derived from the letter counts when not given, which needs
-    equal-length generators (the sampling model guarantees that). Raises
+    count is derived from the letter counts, which needs equal-length
+    generators (the sampling model guarantees that). Raises
     ``ValueError`` when the sentence is not the generators' product along
     :func:`sentence_indices`.
     """
     structure = sample.sentence.structure
     code, n = structure.kind_code, structure.strand_count
     gen_nfs = [g.raw_nf() for g in sample.generators]
-    prefix = _sentence_prefixes(sample, code, n, gen_nfs, sentence_length)
+    prefix = _sentence_prefixes(sample, code, n, gen_nfs)
     out = set()
     for i, nf in enumerate(gen_nfs, start=1):
         if i < len(prefix):
@@ -160,7 +158,6 @@ def _sentence_prefixes(
     code: int,
     n: int,
     gen_nfs: Sequence[tuple[int, tuple[bytes, ...]]],
-    sentence_length: int | None,
 ) -> tuple[tuple[int, tuple[bytes, ...]], ...]:
     """Forms of the first 0..SL sentence factors, from the generators' forms.
 
@@ -168,16 +165,13 @@ def _sentence_prefixes(
     the last entry returned is the form of X there, so the sentence itself
     is never normalized. Raises ``ValueError`` unless the sentence's
     letters are the generators' concatenation along :func:`sentence_indices`.
-    The forms are stored on the sample per structure and factor count,
-    outside the dataclass fields, like a word's ``raw_nf``.
+    The forms are stored on the sample per structure, outside the
+    dataclass fields, like a word's ``raw_nf``.
     """
-    if sentence_length is None:
-        sentence_length = _sentence_length(sample)
     stored = sample.__dict__.setdefault("_prefixes", {})
-    key = (code, sentence_length)
-    if key in stored:
-        return stored[key]
-    indices = sentence_indices(sentence_length, len(sample.generators))
+    if code in stored:
+        return stored[code]
+    indices = sentence_indices(_sentence_length(sample), len(sample.generators))
     letters = tuple(x for i in indices for x in sample.generators[i - 1].letters)
     if letters != sample.sentence.letters:
         raise ValueError(
@@ -186,17 +180,14 @@ def _sentence_prefixes(
     prefix = [(0, ())]
     for i in indices:
         prefix.append(kernels.multiply_nf(code, n, *prefix[-1], *gen_nfs[i - 1]))
-    stored[key] = tuple(prefix)
-    return stored[key]
+    stored[code] = tuple(prefix)
+    return stored[code]
 
 
 def _sentence_length(sample: ExperimentSample) -> int:
     lengths = {len(g.letters) for g in sample.generators}
     if len(lengths) != 1 or 0 in lengths:
-        raise ValueError(
-            "cannot infer the factor count from unequal generator lengths; "
-            "pass sentence_length explicitly"
-        )
+        raise ValueError("cannot infer the factor count from unequal generator lengths")
     return len(sample.sentence.letters) // lengths.pop()
 
 
@@ -233,17 +224,15 @@ def rank_generators(
     the factor count derived from the letter counts, and the same
     ``ValueError`` for a sentence that is not the generators' product.
     """
-    generators = [to_metric_structure(g, metric) for g in sample.generators]
-    structure = generators[0].structure
-    code, n = structure.kind_code, structure.strand_count
-    gen_nfs = [g.raw_nf() for g in generators]
-    target = _sentence_prefixes(sample, code, n, gen_nfs, None)[-1]
+    code, n = metric.kind_code, sample.sentence.structure.strand_count
+    gen_nfs = [metric_nf(g, metric) for g in sample.generators]
+    target = _sentence_prefixes(sample, code, n, gen_nfs)[-1]
     peels = []
     for g in range(2 * len(gen_nfs)):
         j, sign = signed_generator(g)
         nf = gen_nfs[j - 1]
         peels.append(kernels.invert_nf(code, n, *nf) if sign > 0 else nf)
-    scores = kernels.peel_lengths(code, n, peels, *target, 1 if metric.rational else 0)
+    scores = kernels.peel_lengths(code, n, peels, *target, metric.rational)
     return ranked_positions(scores, rng)
 
 
@@ -342,6 +331,8 @@ def compare_metrics(
 # ---------------------------------------------------------------------------
 # Output files
 
+SVG_WINDOW = 35
+
 
 def write_csv(result: ExperimentResult, path: str) -> None:
     """One row per position: position,count,probability,cumulative."""
@@ -363,13 +354,12 @@ def write_csv(result: ExperimentResult, path: str) -> None:
             )
 
 
-def write_svg(
-    curves: Sequence[tuple[str, ExperimentResult]], path: str, window: int = 35
-) -> None:
-    """Polyline plot of the accumulated-probability curves."""
+def write_svg(curves: Sequence[tuple[str, ExperimentResult]], path: str) -> None:
+    """Polyline plot of the first ``SVG_WINDOW`` positions of the
+    accumulated-probability curves."""
     width, height, margin = 640, 400, 45
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-    span = max(min(window, len(result.cumulative)) for _, result in curves)
+    span = max(min(SVG_WINDOW, len(result.cumulative)) for _, result in curves)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',

@@ -7,10 +7,13 @@ distortion linear in the strand count on both sides; the exact minimal
 length is only available from the brute-force oracle at small scale and is
 deliberately not exposed as a cheap function here.
 
-Each word is normalized at most once per alphabet: its own form is stored
-by :meth:`BraidWord.raw_nf` and the form of its translation into the
-other alphabet by :func:`metric_length`, so the four lengths of one word
-cost two ``word_to_nf`` calls.
+:func:`metric_length` is the one place where a form becomes a length, and
+:func:`metric_nf` the one place that picks the form a metric reads. Each
+word is normalized at most once per alphabet: its own form is stored by
+:meth:`BraidWord.raw_nf` and the form of its translation into the other
+alphabet by :func:`metric_nf`. So the four lengths of one word cost two
+``word_to_nf`` calls, and the solver and the ranking, which read their
+target and generator forms through :func:`metric_nf`, share that cache.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import functools
 
 from . import kernels
 from .bkl import artin_to_bkl, bkl_structure, bkl_to_artin
-from .core import ARTIN, BKL, BraidWord, SimpleElement
+from .core import _KIND_CODES, ARTIN, BKL, BraidWord, SimpleElement
 from .errors import NegativeLetter, StructureMismatch
 
 
@@ -34,6 +37,10 @@ class LengthMetric(enum.Enum):
     @property
     def structure_kind(self) -> str:
         return ARTIN if self.value.endswith("artin") else BKL
+
+    @property
+    def kind_code(self) -> int:
+        return _KIND_CODES[self.structure_kind]
 
     @property
     def rational(self) -> bool:
@@ -62,11 +69,7 @@ def positive_length(x: BraidWord | SimpleElement) -> int:
 
 def greedy_length(x: BraidWord) -> int:
     """Atom length of the greedy normal form, delta powers included."""
-    k, factors = x.raw_nf()
-    greedy, _ = kernels.nf_lengths(
-        x.structure.kind_code, x.structure.strand_count, k, factors
-    )
-    return greedy
+    return metric_length(x, LengthMetric(f"greedy-{x.structure.kind}"))
 
 
 def rational_length(x: BraidWord) -> int:
@@ -75,11 +78,7 @@ def rational_length(x: BraidWord) -> int:
     Computed from the greedy form: a negative delta power converts leading
     factors to complements, which shortens by twice their length.
     """
-    k, factors = x.raw_nf()
-    _, rational = kernels.nf_lengths(
-        x.structure.kind_code, x.structure.strand_count, k, factors
-    )
-    return rational
+    return metric_length(x, LengthMetric(f"rational-{x.structure.kind}"))
 
 
 def to_metric_structure(x: BraidWord, metric: LengthMetric) -> BraidWord:
@@ -89,23 +88,26 @@ def to_metric_structure(x: BraidWord, metric: LengthMetric) -> BraidWord:
     return artin_to_bkl(x) if metric.structure_kind == BKL else bkl_to_artin(x)
 
 
+def metric_nf(x: BraidWord, metric: LengthMetric) -> tuple[int, tuple[bytes, ...]]:
+    """Kernel greedy form of ``x`` in the alphabet the metric measures.
+
+    The translation's form is stored on ``x`` like ``raw_nf``'s, outside
+    the dataclass fields; the translated word is not kept.
+    """
+    if x.structure.kind == metric.structure_kind:
+        return x.raw_nf()
+    nf = x.__dict__.get("_translated_nf")
+    if nf is None:
+        nf = to_metric_structure(x, metric).raw_nf()
+        object.__setattr__(x, "_translated_nf", nf)
+    return nf
+
+
 def metric_length(x: BraidWord, metric: LengthMetric) -> int:
     """Length of ``x`` under any of the four metrics, translating alphabets
-    when the word and the metric live in different structures.
-
-    The translation's greedy form is stored on ``x`` like ``raw_nf``'s,
-    outside the dataclass fields; the translated word is not kept.
-    """
-    kind = metric.structure_kind
-    if x.structure.kind == kind:
-        nf = x.raw_nf()
-    else:
-        nf = x.__dict__.get("_translated_nf")
-        if nf is None:
-            nf = to_metric_structure(x, metric).raw_nf()
-            object.__setattr__(x, "_translated_nf", nf)
-    code = kernels.KIND_BKL if kind == BKL else kernels.KIND_ARTIN
-    return kernels.nf_lengths(code, x.structure.strand_count, *nf)[metric.rational]
+    when the word and the metric live in different structures."""
+    n = x.structure.strand_count
+    return kernels.nf_lengths(metric.kind_code, n, *metric_nf(x, metric))[metric.rational]
 
 
 def cross_rational_bkl(x: BraidWord) -> int:

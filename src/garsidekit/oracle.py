@@ -30,14 +30,14 @@ balls of a two-sided search counted together, or, given a ``deadline``,
 when the clock read before a slice is past it. On the compiled backend the
 whole 1.9M-state band B_5 ball of radius 6 takes about 2 s and peaks at
 about 260 MB of resident memory. The default search for ``(s1 s2^-1)^9``
-in Artin B_3, which needed 1.5 s and 290 MB as one ball, takes about 5 ms
-and peaks at 23 MB, nearly all of it the interpreter and the package
-(0.3 s on the pure twin; 2-CPU x86-64, CPython 3.11). A negative radius
-raises ``ValueError``. Without an explicit radius, ``geodesic_length``
-searches to ``min(len(x), l_R(x))``: the rational normal form written in
-atoms is a word of ``l_R`` letters, so the default search always reaches
-its target. Exact geodesics are only feasible for a handful of strands,
-and nothing here pretends to scale past that.
+in Artin B_3 takes about 5 ms and peaks at 23 MB, nearly all of it the
+interpreter and the package (0.3 s on the pure twin; 2-CPU x86-64,
+CPython 3.11). A negative radius raises ``ValueError``. Without an
+explicit radius, ``geodesic_length`` searches to ``min(len(x), l_R(x))``:
+the rational normal form written in atoms is a word of ``l_R`` letters,
+so the default search always reaches its target. Exact geodesics are only
+feasible for a handful of strands, and nothing here pretends to scale
+past that.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from . import kernels
 from .core import BraidWord, GreedyNF, StructureDescriptor, _nf_from_raw
 from .errors import GuardExceeded, NotFound
 from .kernels import pack_nf, unpack_nf
+from .lengths import rational_length
 
 MAX_NODES = 2_000_000
 # Parents per kernel call: the deadline is read before each slice.
@@ -182,10 +183,7 @@ def geodesic_length(
     structure = x.structure
     k, factors = x.raw_nf()
     if max_radius is None:
-        _, ell_r = kernels.nf_lengths(
-            structure.kind_code, structure.strand_count, k, factors
-        )
-        max_radius = min(len(x), ell_r)
+        max_radius = min(len(x), rational_length(x))
     if max_radius < 0:
         raise ValueError("radius must be non-negative")
     origin, target = pack_nf(0, ()), pack_nf(k, factors)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from . import kernels
 from .core import BraidWord, StructureDescriptor, equals
 from .errors import NoSolutionFound, StructureMismatch
-from .lengths import LengthMetric, to_metric_structure
+from .lengths import LengthMetric, metric_length, metric_nf
 from .syntax import parse_word
 
 Token = tuple[str, int]
@@ -174,23 +174,15 @@ def memory_length_search(
         if g.structure != c.structure:
             raise StructureMismatch("generators and target must share a structure")
     metric = cfg.metric
-    c = to_metric_structure(c, metric)
-    gens = [to_metric_structure(g, metric) for g in gens]
-    code, n = c.structure.kind_code, c.structure.strand_count
-
-    # nf_lengths gives (greedy, rational); peel_lengths takes the index.
-    pick = 1 if metric.rational else 0
-
-    target_nf = c.raw_nf()
     if cfg.n == 0:
-        score = kernels.nf_lengths(code, n, *target_nf)[pick]
-        return SearchOutcome((ScoredSequence((), score),), 0)
+        return SearchOutcome((ScoredSequence((), metric_length(c, metric)),), 0)
+    code, n = metric.kind_code, c.structure.strand_count
 
     # Peeling move (j, sign) multiplies by gens[j-1] ** -sign on the left.
     peel_moves: list[tuple[int, int]] = []
     peel_nfs: list[tuple] = []
     for j, g in enumerate(gens, start=1):
-        pos = g.raw_nf()
+        pos = metric_nf(g, metric)
         peel_moves += [(j, 1), (j, -1)]
         peel_nfs += [kernels.invert_nf(code, n, *pos), pos]
     width = len(peel_nfs)
@@ -198,7 +190,9 @@ def memory_length_search(
     # A beam entry (moves, peel, nf) stands for the form peel * nf, built
     # only when the entry is expanded: the last step's survivors never are.
     evaluations = 0
-    beam: list[tuple[tuple[tuple[int, int], ...], tuple, tuple]] = [((), (0, ()), target_nf)]
+    beam: list[tuple[tuple[tuple[int, int], ...], tuple, tuple]] = [
+        ((), (0, ()), metric_nf(c, metric))
+    ]
     for _step in range(cfg.n):
         scores: list[int] = []
         forms = []
@@ -209,7 +203,7 @@ def memory_length_search(
                 raise SearchTimeout("memory-length search hit its deadline")
             nf = kernels.multiply_nf(code, n, *peel, *nf)
             forms.append(nf)
-            scores += kernels.peel_lengths(code, n, peel_nfs, *nf, pick)
+            scores += kernels.peel_lengths(code, n, peel_nfs, *nf, metric.rational)
         evaluations += len(scores)
         # sorted() is stable, so score ties keep insertion order.
         best = sorted(range(len(scores)), key=scores.__getitem__)[: cfg.memory]

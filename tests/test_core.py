@@ -362,9 +362,12 @@ class TestConstructionChecks:
                 BraidWord(b3, letters)
 
     def test_bad_simple(self, b3):
-        for data in (b"", b"\x00\x01", bytes(range(4))):
+        for data in (b"", b"\x00\x01", bytes(range(4)), bytes([0, 0, 1])):
             with pytest.raises(ValueError):
                 SimpleElement(b3, data)
+        # Blocks {1,3} and {2,4} cross: a permutation, but no band simple.
+        with pytest.raises(ValueError):
+            SimpleElement(bkl_structure(4), bytes([2, 3, 0, 1]))
 
     def test_bad_structure(self):
         with pytest.raises(ValueError):

@@ -136,8 +136,6 @@ class TestComputeCor:
                 compute_cor(bad)
             with pytest.raises(ValueError):
                 rank_generators(bad, cfg.metric, rng)
-        with pytest.raises(ValueError):
-            compute_cor(sample, sentence_length=2)
 
 
 class TestRanking:

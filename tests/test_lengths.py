@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import sys
 
 import pytest
 
@@ -22,7 +23,8 @@ from garsidekit.lengths import (
     rational_length,
     to_metric_structure,
 )
-from garsidekit.oracle import enumerate_ball
+from garsidekit.oracle import enumerate_ball, geodesic_length
+from garsidekit.solver import SolverConfig, memory_length_search
 from garsidekit.syntax import parse_word
 
 
@@ -187,6 +189,68 @@ class TestStoredTranslation:
             for _ in range(30):
                 w = random_word(rng, make(n), 25)
                 assert self.four_lengths(w) == self.fresh_lengths(kit, w)
+
+
+class TestOneEntryPoint:
+    """Every length is read by ``metric_length``, and a word's form in the
+    metric's alphabet is built once, whichever module asks for it."""
+
+    @staticmethod
+    def count_calls(monkeypatch, fn, seen):
+        """Record the arguments of every call of ``fn`` in every package
+        module that holds it, the kernel twins aside."""
+
+        def counting(*args):
+            seen.append(args)
+            return fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("garsidekit") and name not in (
+                "garsidekit.kernels._pure", "garsidekit.kernels._speed"
+            ):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counting)
+
+    def test_only_metric_length_reads_lengths(self, rng, monkeypatch):
+        lengths, nf_lengths = [], []
+        self.count_calls(monkeypatch, metric_length, lengths)
+        self.count_calls(monkeypatch, kernels.nf_lengths, nf_lengths)
+        gens = [parse_word("s1 s2", artin_structure(3))]
+        for make in (artin_structure, bkl_structure):
+            for _ in range(5):
+                w = random_word(rng, make(3), 8)
+                geodesic_length(w)
+                greedy_length(w)
+                rational_length(w)
+        for _ in range(5):
+            w = random_word(rng, artin_structure(3), 8)
+            for metric in LengthMetric:
+                memory_length_search(w, gens, SolverConfig(0, 4, metric))
+            bounds_report(w)
+        # Three lengths of each of ten words, then four n = 0 searches and
+        # a three-length report for each of five more.
+        assert len(lengths) == len(nf_lengths) == 3 * 10 + 4 * 5 + 3 * 5
+
+    def test_searches_share_the_band_forms_of_their_generators(self, rng, monkeypatch):
+        band = []
+        word_to_nf = kernels.word_to_nf
+
+        def counting(code, n, letters):
+            if code == kernels.KIND_BKL:
+                band.append(letters)
+            return word_to_nf(code, n, letters)
+
+        monkeypatch.setattr(kernels, "word_to_nf", counting)
+        structure = artin_structure(4)
+        gens = [random_word(rng, structure, 6) for _ in range(4)]
+        cfg = SolverConfig(2, 8, LengthMetric.RATIONAL_BKL)
+        targets = [gens[0] * gens[1], gens[2] * gens[3].inverse()]
+        for c in targets:
+            memory_length_search(c, gens, cfg)
+        assert sorted(band) == sorted(
+            to_metric_structure(w, cfg.metric).letters for w in gens + targets
+        )
 
 
 class TestAlpha:
