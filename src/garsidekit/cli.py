@@ -18,6 +18,7 @@ from .bkl import bkl_structure
 from .core import greedy_nf, rational_nf
 from .errors import GarsideError, NoSolutionFound, NotFound, WordSyntaxError
 from .experiments import (
+    WINDOW,
     ExperimentConfig,
     compare_metrics,
     run_experiment,
@@ -130,10 +131,10 @@ def _cmd_compare(args) -> int:
             [(cfg_a.metric.value, report.result_a), (cfg_b.metric.value, report.result_b)],
             args.svg,
         )
-    window = min(35, 2 * cfg_a.ng)
+    window = min(WINDOW, 2 * cfg_a.ng)
     print(
-        f"fraction_nonneg={report.fraction_nonneg(window)} "
-        f"area={report.area(window)} "
+        f"fraction_nonneg={report.fraction_nonneg()} "
+        f"area={report.area()} "
         f"(diff = {args.metric_b} minus {args.metric_a}, first {window} positions)"
     )
     return 0

@@ -48,14 +48,11 @@ class StructureDescriptor:
         if not 2 <= n <= MAX_STRANDS:
             raise ValueError(f"strand count {n} outside 2..{MAX_STRANDS}")
         code = _KIND_CODES[self.kind]
-        atoms = range(kernels.atom_count(code, n))
-        if self.kind == ARTIN:
-            # Conjugation by the half twist reflects the strand indices.
-            tau_table = tuple(n - 2 - a for a in atoms)
-        else:
-            # Conjugation by delta rotates strand labels by one.
-            tau_table = tuple(_rotate_band_atom(a, n) for a in atoms)
-        object.__setattr__(self, "atom_count", len(atoms))
+        perms = [kernels.atom_perm(code, n, a) for a in range(kernels.atom_count(code, n))]
+        # Conjugation by delta permutes the atoms.
+        index = {p: a for a, p in enumerate(perms)}
+        tau_table = tuple(index[kernels.tau_simple(code, p, 1)] for p in perms)
+        object.__setattr__(self, "atom_count", len(perms))
         object.__setattr__(self, "delta_atom_length", kernels.delta_len(code, n))
         object.__setattr__(self, "tau_atom_table", tau_table)
 
@@ -103,13 +100,6 @@ class StructureDescriptor:
 
     def __repr__(self):
         return f"StructureDescriptor({self.kind!r}, n={self.strand_count})"
-
-
-def _rotate_band_atom(a: int, n: int) -> int:
-    """Index of the band atom with both strands of atom ``a`` moved up one."""
-    t, s = kernels.bkl_atom_pair(a)
-    t, s = (t + 1) % n, (s + 1) % n
-    return kernels.bkl_atom_index(max(t, s), min(t, s))
 
 
 def _check_same_structure(a, b) -> StructureDescriptor:
@@ -249,10 +239,6 @@ class GreedyNF:
         for a, b in zip(self.factors, self.factors[1:]):
             if not kernels.is_left_weighted(code, a.data, b.data):
                 raise ValueError(f"factors {a!r}, {b!r} are not left-weighted")
-
-    @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
 
     def raw(self) -> tuple[int, tuple[bytes, ...]]:
         return self.k, tuple(f.data for f in self.factors)
@@ -426,11 +412,8 @@ def equals(x: BraidWord, y: BraidWord) -> bool:
 def recompose(nf: Union[GreedyNF, RationalNF]) -> BraidWord:
     """A word representing the same group element as the normal form."""
     structure = nf.structure
-    code = structure.kind_code
-    delta_word = structure.delta.atom_word()
     if isinstance(nf, GreedyNF):
-        power = delta_word if nf.k >= 0 else delta_word.inverse()
-        word = power ** abs(nf.k) if nf.k else structure.word()
+        word = structure.delta.atom_word() ** nf.k
         for f in nf.factors:
             word = word * f.atom_word()
         return word

@@ -28,15 +28,22 @@ schedule, and both metrics of a comparison see identical samples.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from . import kernels
 from .artin import artin_structure
-from .core import BraidWord
+from .core import BraidWord, _check_same_structure
 from .lengths import LengthMetric, metric_nf
+from .solver import signed_peels
+
+
+# The paper's plots and its dominance test read the first 35 positions.
+WINDOW = 35
 
 
 def child_rng(seed: int, *path: object) -> random.Random:
@@ -84,22 +91,15 @@ class ExperimentResult:
     """Histogram of best positions (index i holds position i+1)."""
 
     histogram: tuple[int, ...]
-    samples: int
 
-    def __post_init__(self):
-        if sum(self.histogram) != self.samples:
-            raise ValueError(
-                f"histogram counts {sum(self.histogram)} samples, not {self.samples}"
-            )
+    @property
+    def samples(self) -> int:
+        return sum(self.histogram)
 
     @property
     def cumulative(self) -> tuple[float, ...]:
-        total = 0
-        out = []
-        for count in self.histogram:
-            total += count
-            out.append(total / self.samples)
-        return tuple(out)
+        samples = self.samples
+        return tuple(total / samples for total in itertools.accumulate(self.histogram))
 
 
 def sentence_indices(sl: int, ng: int) -> tuple[int, ...]:
@@ -132,9 +132,9 @@ def compute_cor(sample: ExperimentSample) -> frozenset[int]:
     the first occurrence of ``a_i`` removed (for generators that do not
     occur, when ``a_i`` is trivial). Index 1 always qualifies. The factor
     count is derived from the letter counts, which needs equal-length
-    generators (the sampling model guarantees that). Raises
-    ``ValueError`` when the sentence is not the generators' product along
-    :func:`sentence_indices`.
+    generators (the sampling model guarantees that). Raises as
+    :func:`_sentence_prefixes` does when the sentence is not the
+    generators' product.
     """
     structure = sample.sentence.structure
     code, n = structure.kind_code, structure.strand_count
@@ -163,14 +163,18 @@ def _sentence_prefixes(
 
     ``gen_nfs`` holds the generators' forms in the structure ``(code, n)``;
     the last entry returned is the form of X there, so the sentence itself
-    is never normalized. Raises ``ValueError`` unless the sentence's
-    letters are the generators' concatenation along :func:`sentence_indices`.
+    is never normalized. Raises ``StructureMismatch`` unless the generators
+    and the sentence share a structure, and ``ValueError`` unless the
+    sentence's letters are the generators' concatenation along
+    :func:`sentence_indices`.
     The forms are stored on the sample per structure, outside the
     dataclass fields, like a word's ``raw_nf``.
     """
     stored = sample.__dict__.setdefault("_prefixes", {})
     if code in stored:
         return stored[code]
+    for g in sample.generators:
+        _check_same_structure(g, sample.sentence)
     indices = sentence_indices(_sentence_length(sample), len(sample.generators))
     letters = tuple(x for i in indices for x in sample.generators[i - 1].letters)
     if letters != sample.sentence.letters:
@@ -189,11 +193,6 @@ def _sentence_length(sample: ExperimentSample) -> int:
     if len(lengths) != 1 or 0 in lengths:
         raise ValueError("cannot infer the factor count from unequal generator lengths")
     return len(sample.sentence.letters) // lengths.pop()
-
-
-def signed_generator(g: int) -> tuple[int, int]:
-    """Enumeration order of the 2·NG signed generators."""
-    return g // 2 + 1, 1 if g % 2 == 0 else -1
 
 
 def ranked_positions(scores: Sequence[int], rng: random.Random) -> tuple[int, ...]:
@@ -220,18 +219,17 @@ def rank_generators(
 ) -> tuple[int, ...]:
     """Positions of all signed generators under the metric scores.
 
-    X is built from the generators' forms as in :func:`compute_cor`, with
-    the factor count derived from the letter counts, and the same
-    ``ValueError`` for a sentence that is not the generators' product.
+    The scores are the lengths of the solver's peels of X, in the order of
+    :func:`garsidekit.solver.signed_peels`: position ``2*(j-1)`` belongs to
+    ``a_j`` (the score of ``a_j^-1 X``), position ``2*(j-1) + 1`` to
+    ``a_j^-1``. X is built from the generators' forms as in
+    :func:`compute_cor`, with the same errors for a sentence that is not
+    the generators' product.
     """
     code, n = metric.kind_code, sample.sentence.structure.strand_count
     gen_nfs = [metric_nf(g, metric) for g in sample.generators]
     target = _sentence_prefixes(sample, code, n, gen_nfs)[-1]
-    peels = []
-    for g in range(2 * len(gen_nfs)):
-        j, sign = signed_generator(g)
-        nf = gen_nfs[j - 1]
-        peels.append(kernels.invert_nf(code, n, *nf) if sign > 0 else nf)
+    peels = signed_peels(code, n, gen_nfs)
     scores = kernels.peel_lengths(code, n, peels, *target, metric.rational)
     return ranked_positions(scores, rng)
 
@@ -263,28 +261,18 @@ def _run_tasks(
         return list(pool.map(task, range(count), chunksize=max(count // (4 * workers), 1)))
 
 
-@dataclasses.dataclass
-class _PairTask:
-    """Top-level callable so process pools can pickle it."""
-
-    cfg: ExperimentConfig
-    metrics: tuple[LengthMetric, ...]
-
-    def __call__(self, index: int) -> tuple[int, ...]:
-        return _sample_positions(self.cfg, index, self.metrics)
-
-
-def _histogram(best_positions: Iterable[int], ng: int, samples: int) -> ExperimentResult:
+def _histogram(best_positions: Iterable[int], ng: int) -> ExperimentResult:
     counts = [0] * (2 * ng)
     for p in best_positions:
         counts[p - 1] += 1
-    return ExperimentResult(tuple(counts), samples)
+    return ExperimentResult(tuple(counts))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Accumulate the best-position histogram over all samples."""
-    rows = _run_tasks(_PairTask(cfg, (cfg.metric,)), cfg.samples, workers)
-    return _histogram((row[0] for row in rows), cfg.ng, cfg.samples)
+    task = functools.partial(_sample_positions, cfg, metrics=(cfg.metric,))
+    rows = _run_tasks(task, cfg.samples, workers)
+    return _histogram((row[0] for row in rows), cfg.ng)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,12 +290,14 @@ class MetricComparison:
             b - a for a, b in zip(self.result_a.cumulative, self.result_b.cumulative)
         )
 
-    def fraction_nonneg(self, window: int | None = None) -> float:
-        diffs = self.diffs[: window or len(self.diffs)]
+    def fraction_nonneg(self) -> float:
+        """Share of the first ``WINDOW`` positions where b's curve is not below a's."""
+        diffs = self.diffs[:WINDOW]
         return sum(1 for d in diffs if d >= 0) / len(diffs)
 
-    def area(self, window: int | None = None) -> float:
-        return sum(self.diffs[: window or len(self.diffs)])
+    def area(self) -> float:
+        """Sum of the differences over the first ``WINDOW`` positions."""
+        return sum(self.diffs[:WINDOW])
 
 
 def compare_metrics(
@@ -320,18 +310,15 @@ def compare_metrics(
         raise ValueError(
             "comparison configs must agree on everything except the metric"
         )
-    rows = _run_tasks(
-        _PairTask(cfg_a, (cfg_a.metric, cfg_b.metric)), cfg_a.samples, workers
-    )
-    result_a = _histogram((row[0] for row in rows), cfg_a.ng, cfg_a.samples)
-    result_b = _histogram((row[1] for row in rows), cfg_b.ng, cfg_b.samples)
+    task = functools.partial(_sample_positions, cfg_a, metrics=(cfg_a.metric, cfg_b.metric))
+    rows = _run_tasks(task, cfg_a.samples, workers)
+    result_a = _histogram((row[0] for row in rows), cfg_a.ng)
+    result_b = _histogram((row[1] for row in rows), cfg_b.ng)
     return MetricComparison(cfg_a, cfg_b, result_a, result_b)
 
 
 # ---------------------------------------------------------------------------
 # Output files
-
-SVG_WINDOW = 35
 
 
 def write_csv(result: ExperimentResult, path: str) -> None:
@@ -341,25 +328,18 @@ def write_csv(result: ExperimentResult, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["position", "count", "probability", "cumulative"])
-        running = 0
-        for position, count in enumerate(result.histogram, start=1):
-            running += count
-            writer.writerow(
-                [
-                    position,
-                    count,
-                    count / result.samples,
-                    running / result.samples,
-                ]
-            )
+        samples = result.samples
+        rows = zip(result.histogram, result.cumulative)
+        for position, (count, cumulative) in enumerate(rows, start=1):
+            writer.writerow([position, count, count / samples, cumulative])
 
 
 def write_svg(curves: Sequence[tuple[str, ExperimentResult]], path: str) -> None:
-    """Polyline plot of the first ``SVG_WINDOW`` positions of the
+    """Polyline plot of the first ``WINDOW`` positions of the
     accumulated-probability curves."""
     width, height, margin = 640, 400, 45
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-    span = max(min(SVG_WINDOW, len(result.cumulative)) for _, result in curves)
+    span = max(min(WINDOW, len(result.cumulative)) for _, result in curves)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',

@@ -29,10 +29,14 @@ Two structure kinds are supported, selected by the ``kind`` argument:
   The fundamental element is the full cycle ``i -> i+1 (mod n)``; the atom
   with flat index ``t*(t-1)//2 + s`` is the transposition of slots ``s < t``.
 
-Only ``meet``, the complements, ``simple_len`` and ``is_simple`` have an
-algorithm per structure. Left divisibility (``meet(s, t) == s``) and
-``join`` follow from them by Garside identities, which the test suite
-checks against the raw definitions. An operation on two simples raises
+Each structure has its own fundamental element and atoms
+(``delta_perm``, ``delta_len``, ``atom_count``, ``atom_perm``), its own
+``tau_simple``, and its own algorithm for ``meet``, ``simple_len``,
+``is_simple``, ``simple_to_atoms`` and ``make_left_weighted``. ``join``
+takes the meet of the two complements in one way or the other. The
+complements are products with the fundamental element. Left divisibility
+(``meet(s, t) == s``) and ``join`` follow from the meet by Garside
+identities, which the test suite checks against the raw definitions. An operation on two simples raises
 ``ValueError`` when their strand counts differ; a normal-form kernel
 raises it on a factor that is not a simple of the structure.
 """

@@ -47,7 +47,7 @@ import time
 from collections.abc import Iterator
 
 from . import kernels
-from .core import BraidWord, GreedyNF, StructureDescriptor, _nf_from_raw
+from .core import BraidWord, GreedyNF, StructureDescriptor, _check_same_structure, _nf_from_raw
 from .errors import GuardExceeded, NotFound
 from .kernels import pack_nf, unpack_nf
 from .lengths import rational_length
@@ -86,7 +86,11 @@ class BallIndex:
         return self.table.get(pack_nf(k, factors))
 
     def lookup(self, x: BraidWord | GreedyNF) -> int | None:
-        """Geodesic length of an element, or None outside the ball."""
+        """Geodesic length of an element, or None outside the ball.
+
+        Raises ``StructureMismatch`` for an element of another structure.
+        """
+        _check_same_structure(self, x)
         if isinstance(x, GreedyNF):
             k, factors = x.raw()
         else:

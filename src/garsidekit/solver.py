@@ -151,6 +151,18 @@ def evaluation_bound(n: int, m: int, memory: int) -> int:
     return n * (n + 4 * m + 1) * memory // 2
 
 
+def signed_peels(code: int, n: int, forms: Sequence[tuple]) -> list[tuple]:
+    """The forms that peel the signed generators, in the one order that the
+    beam and the ranking share.
+
+    Entry ``2*(j-1)`` is the form of ``g_j ** -1``, the peel of move
+    ``(j, 1)``; entry ``2*(j-1) + 1`` is ``forms[j-1]`` itself, the peel of
+    move ``(j, -1)``. ``forms`` holds the generators' normal forms in the
+    structure ``(code, n)``.
+    """
+    return [p for nf in forms for p in (kernels.invert_nf(code, n, *nf), nf)]
+
+
 def memory_length_search(
     c: BraidWord,
     gens: Sequence[BraidWord],
@@ -177,14 +189,8 @@ def memory_length_search(
     if cfg.n == 0:
         return SearchOutcome((ScoredSequence((), metric_length(c, metric)),), 0)
     code, n = metric.kind_code, c.structure.strand_count
-
-    # Peeling move (j, sign) multiplies by gens[j-1] ** -sign on the left.
-    peel_moves: list[tuple[int, int]] = []
-    peel_nfs: list[tuple] = []
-    for j, g in enumerate(gens, start=1):
-        pos = metric_nf(g, metric)
-        peel_moves += [(j, 1), (j, -1)]
-        peel_nfs += [kernels.invert_nf(code, n, *pos), pos]
+    peel_nfs = signed_peels(code, n, [metric_nf(g, metric) for g in gens])
+    peel_moves = [(j, sign) for j in range(1, len(gens) + 1) for sign in (1, -1)]
     width = len(peel_nfs)
 
     # A beam entry (moves, peel, nf) stands for the form peel * nf, built

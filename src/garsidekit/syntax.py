@@ -126,10 +126,7 @@ def parse_greedy(text: str, structure: StructureDescriptor) -> BraidWord:
     match = _GREEDY_PREFIX.match(text.strip())
     if not match:
         raise WordSyntaxError(f"not a greedy normal form: {text!r}")
-    k = int(match.group(1))
-    delta_word = structure.delta.atom_word()
-    power = delta_word if k >= 0 else delta_word.inverse()
-    word = power ** abs(k) if k else structure.word()
+    word = structure.delta.atom_word() ** int(match.group(1))
     for factor in _split_factors(text.strip()[match.end() :]):
         word = word * parse_word(factor, structure)
     return word

@@ -24,7 +24,7 @@ from garsidekit.core import (
     recompose,
     simple_closure,
 )
-from garsidekit.experiments import ExperimentConfig, child_rng, compare_metrics, write_csv
+from garsidekit.experiments import WINDOW, ExperimentConfig, child_rng, compare_metrics, write_csv
 from garsidekit.lengths import (
     LengthMetric,
     alpha,
@@ -299,9 +299,8 @@ def test_criterion_8_solver_correctness(solver_batch):
 def test_criterion_9_experiment_dominance(experiment_runs):
     """Band metric dominates on the paired run; WL sweep is monotone."""
     report = experiment_runs[8]
-    window = 35
-    frac = report.fraction_nonneg(window)
-    area = report.area(window)
+    frac = report.fraction_nonneg()
+    area = report.area()
     assert frac >= 0.9, frac
     assert area > 0, area
     for metric_key in ("result_a", "result_b"):
@@ -312,7 +311,7 @@ def test_criterion_9_experiment_dominance(experiment_runs):
         assert curve == sorted(curve), (metric_key, curve)
     print(
         f"\nACCEPTANCE 9 PASS: rational band curve >= rational Artin at "
-        f"{frac:.0%} of the first {window} positions (area {area:+.3f}); "
+        f"{frac:.0%} of the first {WINDOW} positions (area {area:+.3f}); "
         f"P(position<=3) nondecreasing in WL for both metrics"
     )
 

@@ -8,7 +8,9 @@ import pytest
 
 from garsidekit import kernels
 from garsidekit.artin import artin_structure
+from garsidekit.bkl import bkl_structure
 from garsidekit.core import equals
+from garsidekit.errors import StructureMismatch
 from garsidekit.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -23,11 +25,11 @@ from garsidekit.experiments import (
     ranked_positions,
     run_experiment,
     sentence_indices,
-    signed_generator,
     write_csv,
     write_svg,
 )
 from garsidekit.lengths import LengthMetric, metric_length
+from garsidekit.solver import SolverConfig, memory_length_search
 from garsidekit.syntax import parse_word
 
 
@@ -137,6 +139,18 @@ class TestComputeCor:
             with pytest.raises(ValueError):
                 rank_generators(bad, cfg.metric, rng)
 
+    def test_generators_of_another_structure_raise(self):
+        # Band B_4 generators whose letters also spell Artin B_4 words: the
+        # Artin sentence is their concatenation letter for letter.
+        band, b4 = bkl_structure(4), artin_structure(4)
+        gens = (band.word([(1, 1), (2, 1)]), band.word([(0, 1), (2, -1)]))
+        sample = ExperimentSample(gens, b4.word(gens[0].letters + gens[1].letters))
+        with pytest.raises(StructureMismatch):
+            compute_cor(sample)
+        for metric in (LengthMetric.RATIONAL_ARTIN, LengthMetric.RATIONAL_BKL):
+            with pytest.raises(StructureMismatch):
+                rank_generators(sample, metric, child_rng(0, "rank", 0))
+
 
 class TestRanking:
     def test_two_signed_copies_occupy_both_positions(self):
@@ -154,15 +168,43 @@ class TestRanking:
         sample = gen_sample(cfg, 3)
         rng = child_rng(cfg.seed, "rank", 3)
         positions = rank_generators(sample, cfg.metric, rng)
+        # Position 2(j-1) belongs to a_j, scored by a_j^-1 X; position
+        # 2(j-1) + 1 to a_j^-1, scored by a_j X.
         scores = []
-        for g in range(2 * cfg.ng):
-            j, sign = signed_generator(g)
-            peel = sample.generators[j - 1] ** (-sign)
-            scores.append(metric_length(peel * sample.sentence, cfg.metric))
+        for g in sample.generators:
+            for peel in (g.inverse(), g):
+                scores.append(metric_length(peel * sample.sentence, cfg.metric))
         for a in range(len(scores)):
             for b in range(len(scores)):
                 if scores[a] < scores[b]:
                     assert positions[a] < positions[b]
+
+    def test_ranking_scores_are_the_beam_scores(self, monkeypatch):
+        """A one-step beam wide enough to keep every move scores the peels
+        that the ranking ranks, in one order: move (j, sign) at index
+        2(j-1) + (sign < 0)."""
+        cfg = tiny_config(ns=5, ng=4, sl=6, wl=4)
+        sample = gen_sample(cfg, 2)
+        ng = len(sample.generators)
+        recorded = []
+        peel_lengths = kernels.peel_lengths
+
+        def recording(*args):
+            scores = peel_lengths(*args)
+            recorded.append(list(scores))
+            return scores
+
+        monkeypatch.setattr(kernels, "peel_lengths", recording)
+        for metric in LengthMetric:
+            recorded.clear()
+            rank_generators(sample, metric, child_rng(cfg.seed, "rank", 2))
+            (scores,) = recorded
+            search_cfg = SolverConfig(n=1, memory=2 * ng, metric=metric)
+            out = memory_length_search(sample.sentence, sample.generators, search_cfg)
+            assert len(out.sequences) == 2 * ng
+            for seq in out.sequences:
+                ((j, sign),) = seq.moves
+                assert scores[2 * (j - 1) + (sign < 0)] == seq.score, (metric, j, sign)
 
     def test_tie_shuffle_uniform_chi_square(self):
         # All-equal scores: item 0 should land uniformly across positions.
@@ -243,10 +285,6 @@ class TestRunExperiment:
         assert sequential == pooled
         assert sequential == run_experiment(cfg)
 
-    def test_result_rejects_miscounted_histogram(self):
-        with pytest.raises(ValueError):
-            ExperimentResult(histogram=(1, 2), samples=4)
-
     def test_json_round_trip(self):
         cfg = tiny_config()
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
@@ -278,7 +316,7 @@ class TestCompareMetrics:
 
 class TestOutputs:
     def test_csv_golden_rows(self, tmp_path):
-        result = ExperimentResult(histogram=(3, 1), samples=4)
+        result = ExperimentResult(histogram=(3, 1))
         path = tmp_path / "out.csv"
         write_csv(result, str(path))
         lines = path.read_text().splitlines()

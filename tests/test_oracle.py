@@ -8,9 +8,9 @@ import pytest
 from conftest import random_word
 from garsidekit import kernels, oracle
 from garsidekit.artin import artin_structure
-from garsidekit.bkl import bkl_structure
+from garsidekit.bkl import bkl_structure, bkl_to_artin
 from garsidekit.core import greedy_nf, recompose
-from garsidekit.errors import GuardExceeded, NotFound
+from garsidekit.errors import GuardExceeded, NotFound, StructureMismatch
 from garsidekit.kernels import _pure
 from garsidekit.lengths import positive_length, rational_length
 from garsidekit.oracle import BallIndex, enumerate_ball, geodesic_length
@@ -224,6 +224,17 @@ class TestBall:
         assert ball.lookup(w) == 2
         assert ball.lookup(greedy_nf(w)) == 2
         assert ball.lookup(parse_word("s1 s2 s1", b3) ** 3) is None
+
+    def test_lookup_refuses_another_structure(self, b3):
+        # The band delta a(3,2) a(2,1) has the form (1, ()), as the Artin
+        # delta does, so both pack alike. The Artin ball holds 3 there, but
+        # the band delta has Artin length 2.
+        ball = enumerate_ball(b3, 4)
+        x = parse_word("a(3,2) a(2,1)", bkl_structure(3))
+        assert geodesic_length(bkl_to_artin(x)) == 2
+        for item in (x, greedy_nf(x)):
+            with pytest.raises(StructureMismatch):
+                ball.lookup(item)
 
     def test_lookup_raw_outside_16_bit_delta_power(self, b3):
         ball = enumerate_ball(b3, 2)
