@@ -6,10 +6,14 @@ solver, the ranking and the oracle spend their kernel time in:
 ``word_to_nf``, ``multiply_nf``, ``invert_nf``, ``nf_lengths``,
 ``peel_lengths``, which scores a batch of peels ``p * target`` by length
 without building the products, and ``expand_level``, one breadth-first
-step of the oracle over packed normal forms. Both twins have identical
-semantics, and each raises ``ValueError`` on a factor that is not a simple
-of the structure: every permutation is an Artin simple, but a band factor
-must be a band simple, because the band meet is exact only there.
+step of the oracle over packed normal forms. Given its ``orbits`` flag,
+``expand_level`` takes one canonical step per child: it keys the child by
+the least packed blob of its tau-orbit (``pack_orbit``), the images under
+conjugation by the powers of delta, so a ball stores one state per orbit.
+Both twins have identical semantics, and each raises ``ValueError`` on a
+factor that is not a simple of the structure: every permutation is an
+Artin simple, but a band factor must be a band simple, because the band
+meet is exact only there.
 The compiled backend is preferred when importable; set
 ``GARSIDEKIT_PURE=1`` to force the pure one (useful for debugging).
 
@@ -46,10 +50,12 @@ from ._pure import (
     make_left_weighted,
     meet,
     pack_nf,
+    pack_orbit,
     quotient_left,
     right_complement,
     simple_len,
     simple_to_atoms,
+    tau_images,
     tau_simple,
     unpack_nf,
 )

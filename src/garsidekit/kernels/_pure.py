@@ -115,7 +115,12 @@ def compose(p: bytes, q: bytes) -> bytes:
         raise ValueError(f"permutations of {len(p)} and {n} strands")
     if n and max(p) >= n:
         raise ValueError(f"{p!r} has a byte outside range({n})")
-    return p.translate(q + _PAD[n:])
+    return _compose(p, q)
+
+
+def _compose(p: bytes, q: bytes) -> bytes:
+    """:func:`compose` of two permutations its caller has checked."""
+    return p.translate(q + _PAD[len(q) :])
 
 
 def invert(p: bytes) -> bytes:
@@ -126,6 +131,13 @@ def invert(p: bytes) -> bytes:
 
 
 def simple_len(kind: int, p: bytes) -> int:
+    if kind == KIND_BKL and not is_permutation(p, len(p)):
+        raise ValueError(f"{p!r} is not a permutation of range({len(p)})")
+    return _simple_len(kind, p)
+
+
+def _simple_len(kind: int, p: bytes) -> int:
+    """:func:`simple_len` of a simple its caller has checked."""
     n = len(p)
     if kind == KIND_ARTIN:
         count = 0
@@ -136,8 +148,6 @@ def simple_len(kind: int, p: bytes) -> int:
                     count += 1
         return count
     # n minus the block count: all but the largest slot of a block map upward.
-    if not is_permutation(p, n):
-        raise ValueError(f"{p!r} is not a permutation of range({n})")
     return sum(x > i for i, x in enumerate(p))
 
 
@@ -224,14 +234,21 @@ def meet(kind: int, s: bytes, t: bytes) -> bytes:
     n = len(s)
     if len(t) != n:
         raise ValueError(f"simples of {n} and {len(t)} strands")
+    # The band block walk ends at all only when ``s`` is a permutation.
+    if kind == KIND_BKL and not (is_permutation(s, n) and is_permutation(t, n)):
+        raise ValueError(f"{s!r} or {t!r} is not a permutation of range({n})")
+    return _meet(kind, s, t)
+
+
+def _meet(kind: int, s: bytes, t: bytes) -> bytes:
+    """:func:`meet` of two simples its caller has checked."""
+    n = len(s)
     if kind == KIND_BKL:
         # The common refinement of the two partitions. The slot after ``at``
         # in its meet block is the first slot after it on the upward walk
         # along ``s`` that shares its block of ``t``; the walk ends without
         # one when it wraps or passes ``end``, the largest slot of that
-        # block. It ends at all only when ``s`` is a permutation.
-        if not (is_permutation(s, n) and is_permutation(t, n)):
-            raise ValueError(f"{s!r} or {t!r} is not a permutation of range({n})")
+        # block.
         top = bytearray(n)
         for i in range(n - 1, -1, -1):
             top[i] = top[t[i]] if t[i] > i else i
@@ -317,11 +334,20 @@ def make_left_weighted(kind: int, s: bytes, p: bytes) -> tuple[bytes, bytes]:
     n = len(s)
     if len(p) != n:
         raise ValueError(f"simples of {n} and {len(p)} strands")
+    if kind == KIND_BKL and not (is_permutation(s, n) and is_permutation(p, n)):
+        raise ValueError(f"{s!r} or {p!r} is not a permutation of range({n})")
+    return _make_left_weighted(kind, s, p)
+
+
+def _make_left_weighted(kind: int, s: bytes, p: bytes) -> tuple[bytes, bytes]:
+    """:func:`make_left_weighted` of two simples its caller has checked."""
+    n = len(s)
     if kind == KIND_BKL:
-        b = meet(kind, right_complement(kind, s), p)
+        # The meet of p with the right complement of s.
+        b = _meet(kind, _compose(invert(s), delta_perm(kind, n)), p)
         if b == identity_perm(n):
             return s, p
-        return compose(s, b), compose(invert(b), p)
+        return _compose(s, b), _compose(invert(b), p)
     # Transfer every atom that starts p and can extend s. A transfer at i
     # changes only the pairs at i - 1 and i + 1, so the scan steps back
     # one slot after it; any transfer order ends at the same pair.
@@ -361,7 +387,7 @@ def _absorb(kind: int, fs: list[bytes], i: int, idp: bytes) -> bool:
     """
     first = i
     while i < len(fs) - 1:
-        s2, p2 = make_left_weighted(kind, fs[i], fs[i + 1])
+        s2, p2 = _make_left_weighted(kind, fs[i], fs[i + 1])
         if s2 is fs[i] or s2 == fs[i]:
             break
         fs[i] = s2
@@ -404,6 +430,16 @@ def normalize_factors(
     the left-weighted remainder. The normal form grows from the front, one
     factor appended at a time.
     """
+    factors = list(factors)
+    _check_bounds(n)
+    _check_factors(kind, n, factors)
+    return _normalize_factors(kind, n, factors)
+
+
+def _normalize_factors(
+    kind: int, n: int, factors: Iterable[bytes]
+) -> tuple[int, tuple[bytes, ...]]:
+    """:func:`normalize_factors` of simples its caller has checked."""
     idp = identity_perm(n)
     fs: list[bytes] = []
     k = 0
@@ -437,7 +473,7 @@ def word_to_nf(
         d, p = raw[i]
         conv[i] = tau_simple(kind, p, shift)
         shift += d
-    dk, fs = normalize_factors(kind, n, conv)
+    dk, fs = _normalize_factors(kind, n, conv)
     return shift + dk, fs
 
 
@@ -491,7 +527,7 @@ def invert_nf(
         tau_simple(kind, left_complement(kind, f[j - 1]), -(j - 1) - k)
         for j in range(r, 0, -1)
     ]
-    dk, fs = normalize_factors(kind, n, out)
+    dk, fs = _normalize_factors(kind, n, out)
     return -k - r + dk, fs
 
 
@@ -513,7 +549,7 @@ def nf_lengths(kind: int, n: int, k: int, f: Sequence[bytes]) -> tuple[int, int]
 def _lengths(kind: int, n: int, k: int, f: Sequence[bytes]) -> tuple[int, int]:
     """:func:`nf_lengths` of a normal form its caller has checked."""
     ld = delta_len(kind, n)
-    lens = [simple_len(kind, x) for x in f]
+    lens = [_simple_len(kind, x) for x in f]
     greedy = abs(k) * ld + sum(lens)
     if k >= 0:
         return greedy, greedy
@@ -576,6 +612,25 @@ def unpack_nf(blob: bytes, n: int) -> tuple[int, tuple[bytes, ...]]:
     return fields[0], fields[1:]
 
 
+def tau_images(kind: int, n: int, factors: Sequence[bytes]) -> list[tuple[bytes, ...]]:
+    """The factors conjugated by delta^i, for i = 0..1 (Artin) or 0..n-1
+    (band): the tau-orbit of every normal form with these factors.
+
+    Conjugation keeps a sequence left-weighted, so each image is a normal
+    form as it stands. A fixed point of some tau^i repeats in the list.
+    """
+    period = 2 if kind == KIND_ARTIN else n
+    return [tuple(factors)] + [
+        tuple(tau_simple(kind, f, i) for f in factors) for i in range(1, period)
+    ]
+
+
+def pack_orbit(kind: int, n: int, k: int, factors: Sequence[bytes]) -> bytes:
+    """The least packed blob of the tau-orbit of ``(k, factors)``: every
+    image shares the delta power, so that is the least joined image."""
+    return _POWER.pack(k) + min(b"".join(image) for image in tau_images(kind, n, factors))
+
+
 def expand_level(
     kind: int,
     n: int,
@@ -584,6 +639,7 @@ def expand_level(
     table: dict[bytes, int],
     level: int,
     max_nodes: int,
+    orbits: int = 0,
 ) -> list[bytes]:
     """One breadth-first step over packed normal forms.
 
@@ -591,7 +647,9 @@ def expand_level(
     that is not yet a key of ``table`` is stored there with the value
     ``level`` and appended to the returned next frontier. Stops after the
     first parent whose children bring ``len(table)`` above ``max_nodes``,
-    and returns the children found so far.
+    and returns the children found so far. With ``orbits`` set to 1, each
+    child is packed by ``pack_orbit`` instead, the least blob of its
+    tau-orbit.
     """
     _check_bounds(n)
     if type(table) is not dict:
@@ -599,6 +657,8 @@ def expand_level(
     # The compiled twin reads both as C long longs.
     if not (0 <= level < 2**63 and 0 <= max_nodes < 2**63):
         raise ValueError(f"level {level} or max_nodes {max_nodes} outside 0..2**63-1")
+    if orbits not in (0, 1):
+        raise ValueError(f"orbits is {orbits!r}, not 0 or 1")
     for mk, mf in moves:
         _check_bounds(n, mk)
         _check_factors(kind, n, mf)
@@ -608,7 +668,8 @@ def expand_level(
         _check_bounds(n, k)
         _check_factors(kind, n, factors)
         for mk, mf in moves:
-            child = pack_nf(*_multiply(kind, n, k, factors, mk, mf))
+            k2, f2 = _multiply(kind, n, k, factors, mk, mf)
+            child = pack_orbit(kind, n, k2, f2) if orbits else pack_nf(k2, f2)
             if child not in table:
                 table[child] = level
                 grown.append(child)

@@ -9,9 +9,13 @@
  * building them, for the beam step and the ranking. ``expand_level`` is
  * one level of the oracle's breadth-first search: it multiplies packed
  * normal forms by the signed atoms and stores the new ones in the caller's
- * dict. The lattice operations on single simples (the band meet,
- * complements, left-weighting) live here only as static helpers of those
- * six; their Python entry points are the pure twin's.
+ * dict. Given its ``orbits`` flag it takes one canonical step per child
+ * first: it packs the least of the child's images under tau^i (conjugation
+ * by delta^i), which share its delta power and need no renormalizing, so a
+ * ball holds one state per tau-orbit. The lattice operations on single
+ * simples (the band meet, complements, left-weighting) live here only as
+ * static helpers of those six; their Python entry points are the pure
+ * twin's.
  *
  * Every function here has the same name, positional signature and result
  * as its namesake in ``_pure.py``, which is the reference; the test suite
@@ -890,11 +894,11 @@ blob_arg(int kind, int n, PyObject *o, long long *k, const u8 **f, Py_ssize_t *r
     return 1;
 }
 
-/* The packed normal form of ``(k, factors of fs)``. */
+/* The packed normal form of ``(k, the r factors at f)``. */
 static PyObject *
-blob_object(int n, long long k, const flist *fs)
+blob_object(int n, long long k, const u8 *f, Py_ssize_t r)
 {
-    PyObject *o = PyBytes_FromStringAndSize(NULL, POWER_BYTES + fs->r * n);
+    PyObject *o = PyBytes_FromStringAndSize(NULL, POWER_BYTES + r * n);
     u8 *p;
     int i;
     if (o == NULL)
@@ -902,28 +906,57 @@ blob_object(int n, long long k, const flist *fs)
     p = (u8 *)PyBytes_AS_STRING(o);
     for (i = POWER_BYTES - 1; i >= 0; i--, k = (long long)((unsigned long long)k >> 8))
         p[i] = (u8)k;
-    memcpy(p + POWER_BYTES, fs->perm, (size_t)(fs->r * n));
+    memcpy(p + POWER_BYTES, f, (size_t)(r * n));
     return o;
+}
+
+/* The least, as packed bytes, of the images tau^i of the r factors at
+ * ``f``: i runs over 0..1 for Artin and 0..n-1 for band, and no image needs
+ * renormalizing, because tau keeps a sequence left-weighted. ``img`` holds
+ * 2*r*n bytes; each image is built in whichever half does not hold the
+ * least so far, and abandoned at its first factor that compares greater. */
+static const u8 *
+least_image(int kind, int n, const u8 *f, Py_ssize_t r, u8 *img)
+{
+    const u8 *least = f;
+    u8 *cur;
+    Py_ssize_t j;
+    int i, cmp, period = kind == KIND_ARTIN ? 2 : n;
+    for (i = 1; i < period; i++) {
+        cur = least == img ? img + r * n : img;
+        for (j = 0, cmp = 0; j < r * n && cmp <= 0; j += n) {
+            twist(kind, f + j, cur + j, n, i);
+            if (cmp == 0)
+                cmp = memcmp(cur + j, least + j, n);
+        }
+        if (cmp < 0)
+            least = cur;
+    }
+    return least;
 }
 
 /* One breadth-first step: each child parent * move of a packed parent in
  * ``frontier`` that is not a key of ``table`` is stored there with the
  * value ``level`` and listed in the result. Stops after the first parent
  * whose children bring the table above ``max_nodes``. Each product is
- * normalized as in multiply_nf, on the parent's bytes. */
+ * normalized as in multiply_nf, on the parent's bytes. With ``orbits`` set,
+ * each child is replaced by the least image of its tau-orbit
+ * (``least_image``) before the table lookup. */
 static PyObject *
 py_expand_level(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *frontier = NULL, *moves = NULL, *table, *grown = NULL, *child, *out = NULL;
-    flist mv = {NULL, NULL, 0, 0}, fs = {NULL, NULL, 0, 0};
+    /* ``tw`` holds the two image buffers of the canonical step. */
+    flist mv = {NULL, NULL, 0, 0}, fs = {NULL, NULL, 0, 0}, tw = {NULL, NULL, 0, 0};
     u8 buf[MAXN];
     const u8 *pf, *f;
-    long long level, max_nodes, k1, k, *mk = NULL;
+    long long level, max_nodes, orbits = 0, k1, k, *mk = NULL;
     Py_ssize_t i, j, r1, count, *mstart = NULL;
     int kind, n, found;
-    if (!nargs_ok("expand_level", nargs, 7) || !kind_arg(args[0], &kind)
+    if (!nargs_ok("expand_level", nargs, nargs < 8 ? 7 : 8) || !kind_arg(args[0], &kind)
         || !strands_arg(args[1], &n) || !long_arg(args[5], 0, LLONG_MAX, &level)
-        || !long_arg(args[6], 0, LLONG_MAX, &max_nodes))
+        || !long_arg(args[6], 0, LLONG_MAX, &max_nodes)
+        || (nargs == 8 && !long_arg(args[7], 0, 1, &orbits)))
         return NULL;
     table = args[4];
     if (!PyDict_CheckExact(table)) {
@@ -956,7 +989,8 @@ py_expand_level(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
         goto done;
     for (i = 0; i < PyTuple_GET_SIZE(frontier); i++) {
         if (!blob_arg(kind, n, PyTuple_GET_ITEM(frontier, i), &k1, &pf, &r1)
-            || !flist_reserve(&fs, r1 + mv.r, n))
+            || !flist_reserve(&fs, r1 + mv.r, n)
+            || (orbits && !flist_reserve(&tw, 2 * fs.cap, n)))
             goto done;
         for (j = 0; j < count; j++) {
             /* The move's delta power commutes through the parent's
@@ -970,7 +1004,8 @@ py_expand_level(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
             k = k1 + mk[j];
             if (r1 > 0 && fs.r > r1)
                 k += normalize(kind, n, &fs, r1 - 1);
-            if ((child = blob_object(n, k, &fs)) == NULL)
+            f = orbits ? least_image(kind, n, fs.perm, fs.r, tw.perm) : fs.perm;
+            if ((child = blob_object(n, k, f, fs.r)) == NULL)
                 goto done;
             found = PyDict_Contains(table, child);
             if (found < 0
@@ -991,6 +1026,7 @@ done:
     PyMem_Free(mstart);
     flist_free(&mv);
     flist_free(&fs);
+    flist_free(&tw);
     Py_XDECREF(grown);
     Py_XDECREF(frontier);
     Py_XDECREF(moves);
@@ -1024,8 +1060,8 @@ static PyMethodDef speed_methods[] = {
                        "Greedy and rational atom lengths of a normal form."),
     KERNEL(peel_lengths, "peel_lengths(kind, n, peels, k, f, rational, /)\n--\n\n"
                          "Greedy or rational length of p * (k, f) for each normal form p."),
-    KERNEL(expand_level, "expand_level(kind, n, frontier, moves, table, level, max_nodes, /)\n--\n\n"
-                         "One breadth-first step over packed normal forms."),
+    KERNEL(expand_level, "expand_level(kind, n, frontier, moves, table, level, max_nodes, orbits=0, /)\n--\n\n"
+                         "One breadth-first step over packed normal forms, optionally keyed by tau-orbit."),
     KERNEL(bkl_atom_index, "bkl_atom_index(t, s, /)\n--\n\n"
                            "Flat index of the band atom joining slots s < t."),
     {NULL, NULL, 0, NULL},

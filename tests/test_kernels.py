@@ -344,7 +344,7 @@ class TestBackendEquivalence:
     def test_expand_level_against_pure(self, compiled_speed, make, n, radius, rng):
         """Both twins grow the same table, in the same order, and return the
         same next frontier, also when the node budget stops them in the
-        middle of a level."""
+        middle of a level, with plain states and with tau-orbits."""
         structure = make(n)
         kind = structure.kind_code
         moves = [
@@ -352,13 +352,18 @@ class TestBackendEquivalence:
             for a in range(structure.atom_count)
             for sign in (1, -1)
         ]
-        ball = list(enumerate_ball(structure, radius).table.items())
+        # Every element of the ball, not only its orbit keys: a parent of
+        # either kind may be expanded with either flag.
+        ball = [
+            (kernels.pack_nf(*raw), dist)
+            for raw, dist in enumerate_ball(structure, radius).raw_items()
+        ]
 
-        def expand(frontier, seen, level, max_nodes):
+        def expand(frontier, seen, level, max_nodes, orbits):
             outcomes = []
             for twin in (_pure, compiled_speed):
                 table = dict(seen)
-                grown = twin.expand_level(kind, n, frontier, moves, table, level, max_nodes)
+                grown = twin.expand_level(kind, n, frontier, moves, table, level, max_nodes, orbits)
                 new = list(table)[len(seen) :]
                 # The next frontier holds the table's own keys.
                 assert len(grown) == len(new)
@@ -367,17 +372,20 @@ class TestBackendEquivalence:
             assert outcomes[0] == outcomes[1]
             return outcomes[0]
 
-        for _ in range(4):
-            frontier = [blob for blob, _ in rng.sample(ball, min(60, len(ball)))]
-            seen = rng.sample(ball, len(ball) // 2)
-            level = rng.randrange(1, 2 * radius)
-            table, full = expand(frontier, seen, level, 10**9)
-            assert len(full) > 4
-            assert table[len(seen) :] == [(blob, level) for blob in full]
-            half = len(full) // 2
-            table, grown = expand(frontier, seen, level, len(seen) + half)
-            assert len(seen) + half < len(table) < len(seen) + len(full)
-            assert grown == full[: len(grown)]
+        for orbits in (0, 1):
+            for _ in range(4):
+                frontier = [blob for blob, _ in rng.sample(ball, min(60, len(ball)))]
+                seen = rng.sample(ball, len(ball) // 2)
+                level = rng.randrange(1, 2 * radius)
+                table, full = expand(frontier, seen, level, 10**9, orbits)
+                assert len(full) > 4
+                assert table[len(seen) :] == [(blob, level) for blob in full]
+                if orbits:
+                    assert all(_pure.pack_orbit(kind, n, *_pure.unpack_nf(b, n)) == b for b in full)
+                half = len(full) // 2
+                table, grown = expand(frontier, seen, level, len(seen) + half, orbits)
+                assert len(seen) + half < len(table) < len(seen) + len(full)
+                assert grown == full[: len(grown)]
 
     def test_band_factors_must_be_band_simples(self, kit):
         """Every normal-form kernel takes exactly the band simples as band
@@ -589,6 +597,8 @@ BAD_CALLS = [
     r"expand_level(0, 3, [bytes(8)], [(0, (b'\x00\x09\x01',))], {}, 1, 10)",
     "expand_level(0, 1000, [], [], {}, 1, 10)",
     "expand_level(0, 3, [], [], {}, 1, 2**63)",
+    "expand_level(0, 3, [], [], {}, 1, 10, 2)",
+    "expand_level(0, 3, [], [], {}, 1, 10, 0, 0)",
     # Band factors that are permutations but not band simples: a cycle that
     # does not ascend, and two blocks that cross.
     r"multiply_nf(1, 3, 0, (b'\x02\x00\x01',), 0, (b'\x01\x02\x00',))",

@@ -249,6 +249,18 @@ class TestBall:
         assert len(ball) == 2 * radius + 1
         assert ball.lookup(make(2).word([(0, -1)] * radius)) == radius
 
+    def test_lookup_raw_refuses_non_simple_factors(self, b3):
+        # A factor that is not a simple of the structure raises instead of
+        # missing the table.
+        ball = enumerate_ball(b3, 3)
+        for factors in ((b"\x05\x01\x00",), (b"\x00\x01",), (b"\x01\x00\x02", "abc")):
+            with pytest.raises(ValueError):
+                ball.lookup_raw(0, factors)
+        band = enumerate_ball(bkl_structure(4), 2)
+        with pytest.raises(ValueError):
+            band.lookup_raw(0, (bytes([2, 3, 0, 1]),))  # crossing blocks
+        assert band.lookup_raw(0, (bytes([1, 0, 2, 3]),)) == 1
+
     def test_items_round_trip(self, b3):
         ball = enumerate_ball(b3, 3)
         seen = 0
@@ -257,6 +269,44 @@ class TestBall:
             assert ball.lookup(nf) == dist
             seen += 1
         assert seen == len(ball)
+
+
+class TestOrbitBall:
+    @pytest.mark.parametrize(
+        "make,n,radius",
+        [(artin_structure, 3, 8), (bkl_structure, 3, 6), (artin_structure, 4, 6), (bkl_structure, 4, 4)],
+    )
+    def test_orbits_cover_the_plain_ball(self, make, n, radius, twins, monkeypatch):
+        """On each twin, the orbit ball expands to the plain ball grown by
+        ``expand_level`` with the flag off, sphere by sphere, each element
+        once; every element looks up to its own distance; and each stored
+        state is the least blob of its orbit."""
+        structure = make(n)
+        code = structure.kind_code
+        period = 2 if code == kernels.KIND_ARTIN else n
+        moves = oracle._signed_atom_nfs(structure)
+        for twin in twins.values():
+            origin = kernels.pack_nf(0, ())
+            plain, frontier = {origin: 0}, [origin]
+            for level in range(1, radius + 1):
+                frontier = twin.expand_level(code, n, frontier, moves, plain, level, 10**9, 0)
+            monkeypatch.setattr(kernels, "expand_level", twin.expand_level)
+            ball = enumerate_ball(structure, radius)
+            assert len(ball.table) < len(plain)
+            elements = [(kernels.pack_nf(*raw), dist) for raw, dist in ball.raw_items()]
+            assert len(ball) == len(elements) == len(plain)
+            assert dict(elements) == plain
+            spheres = collections.Counter(dist for _, dist in elements)
+            assert spheres == collections.Counter(plain.values())
+            for blob, dist in plain.items():
+                assert ball.lookup_raw(*kernels.unpack_nf(blob, n)) == dist
+            for blob in ball.table:
+                k, factors = kernels.unpack_nf(blob, n)
+                images = (
+                    kernels.pack_nf(k, [_pure.tau_simple(code, f, i) for f in factors])
+                    for i in range(period)
+                )
+                assert blob == min(images)
 
 
 class TestExactness:
