@@ -55,7 +55,6 @@ from ._pure import (
     right_complement,
     simple_len,
     simple_to_atoms,
-    tau_images,
     tau_simple,
     unpack_nf,
 )

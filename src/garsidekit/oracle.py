@@ -87,8 +87,9 @@ class BallIndex:
 
     ``table`` maps one packed state per tau-orbit, the orbit's least blob
     (``kernels.pack_orbit``), to the distance all its elements share. A
-    lookup canonicalizes its argument; ``len()``, ``items()`` and
-    ``raw_items()`` cover every element, expanding the orbits when asked.
+    lookup canonicalizes its argument; ``len()`` counts every element from
+    the orbit sizes, and ``items()`` and ``raw_items()`` cover every
+    element, expanding the orbits when asked.
     """
 
     structure: StructureDescriptor
@@ -96,7 +97,8 @@ class BallIndex:
     table: dict[bytes, int]
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.raw_items())
+        code, n = self.structure.kind_code, self.structure.strand_count
+        return sum(_orbit_size(code, n, unpack_nf(blob, n)[1]) for blob in self.table)
 
     def lookup_raw(self, k: int, factors: tuple[bytes, ...]) -> int | None:
         """Distance of the normal form ``(k, factors)``, or None outside
@@ -128,13 +130,25 @@ class BallIndex:
             yield _nf_from_raw(self.structure, *raw), dist
 
     def raw_items(self) -> Iterator[tuple[RawNF, int]]:
-        """Every element once, orbit by orbit in table order; an element
-        that some tau^i fixes repeats in its orbit's images and is dropped."""
+        """Every element once, orbit by orbit in table order: the images
+        under tau^0 .. tau^(d-1) of each stored state, d its orbit's size."""
         code, n = self.structure.kind_code, self.structure.strand_count
+        tau = kernels.tau_simple
         for blob, dist in self.table.items():
             k, factors = unpack_nf(blob, n)
-            for image in dict.fromkeys(kernels.tau_images(code, n, factors)):
-                yield (k, image), dist
+            for i in range(_orbit_size(code, n, factors)):
+                yield (k, tuple([tau(code, f, i) for f in factors])), dist
+
+
+def _orbit_size(code: int, n: int, factors: tuple[bytes, ...]) -> int:
+    """Size of the tau-orbit of a normal form with these factors: the least
+    divisor d of the period (2 in Artin B_n, n in band B_n) such that
+    tau^d fixes every factor. Tau fixes every delta power."""
+    period = 2 if code == kernels.KIND_ARTIN else n
+    for d in range(1, period):
+        if period % d == 0 and all(kernels.tau_simple(code, f, d) == f for f in factors):
+            return d
+    return period
 
 
 def _grow(

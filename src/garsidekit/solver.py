@@ -9,6 +9,11 @@ is an exact expression. Candidate sequences are then verified by the exact
 word problem, so the solver never returns a wrong assignment; exhausting
 the search proves nothing.
 
+A search makes one ``kernels.peel_lengths`` call per distinct element it
+expands: an entry that returns to an element already scored, by an inverse
+move or another move order, reuses its scores, which still count once per
+candidate. The store lives for one search only.
+
 Everything is deterministic: score ties are broken by insertion order.
 """
 
@@ -142,6 +147,9 @@ class ScoredSequence:
 
 @dataclasses.dataclass(frozen=True)
 class SearchOutcome:
+    """The surviving sequences, and ``length_evaluations``: one per scored
+    candidate, 2*|gens| per beam entry, reused scores counted again."""
+
     sequences: tuple[ScoredSequence, ...]
     length_evaluations: int
 
@@ -173,12 +181,13 @@ def memory_length_search(
 
     Returns at most ``memory`` move sequences sorted by (score, insertion
     order); a move ``(j, sign)`` peels ``gens[j-1] ** -sign`` off the left.
-    Each beam entry scores all its 2*|gens| peels with one
-    ``kernels.peel_lengths`` call, which builds none of the products; a
-    survivor's normal form is built only when the next step expands it.
-    The length-evaluation counter counts one per scored product and
-    excludes the score of ``c`` itself, which is only used for the trivial
-    ``n=0`` search.
+    A beam entry scores all its 2*|gens| peels with one
+    ``kernels.peel_lengths`` call, which builds none of the products, or
+    reuses the scores of an earlier entry with the same element: one call
+    per distinct element of the search. A survivor's normal form is built
+    only when the next step expands it. The length-evaluation counter
+    counts one per scored candidate, reused or not, and excludes the score
+    of ``c`` itself, which is only used for the trivial ``n=0`` search.
     """
     if not gens:
         raise ValueError("need at least one subgroup generator")
@@ -199,6 +208,11 @@ def memory_length_search(
     beam: list[tuple[tuple[tuple[int, int], ...], tuple, tuple]] = [
         ((), (0, ()), metric_nf(c, metric))
     ]
+    # The peels' scores of each element this search has expanded, keyed by
+    # its greedy normal form: equal forms are equal elements, so an inverse
+    # move or another move order that returns to one reuses its scores.
+    # At most 1 + memory*(n-1) keys, dropped when the search returns.
+    scored: dict[tuple, tuple[int, ...]] = {}
     for _step in range(cfg.n):
         scores: list[int] = []
         forms = []
@@ -209,7 +223,12 @@ def memory_length_search(
                 raise SearchTimeout("memory-length search hit its deadline")
             nf = kernels.multiply_nf(code, n, *peel, *nf)
             forms.append(nf)
-            scores += kernels.peel_lengths(code, n, peel_nfs, *nf, metric.rational)
+            lengths = scored.get(nf)
+            if lengths is None:
+                lengths = scored[nf] = kernels.peel_lengths(
+                    code, n, peel_nfs, *nf, metric.rational
+                )
+            scores += lengths
         evaluations += len(scores)
         # sorted() is stable, so score ties keep insertion order.
         best = sorted(range(len(scores)), key=scores.__getitem__)[: cfg.memory]

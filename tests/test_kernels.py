@@ -496,20 +496,26 @@ class TestCompiledSet:
         assert calls == {}
 
     def test_peels_are_scored_in_batches(self, monkeypatch):
-        """No product is built only to be scored.
+        """No product is built only to be scored, and no element twice.
 
         A search scores every peel through ``peel_lengths``, one call per
-        beam entry, and builds the normal form of an entry only when it
-        expands it: at most ``memory`` products per step. A ranking scores
-        all its peels with one call and builds no product.
+        distinct element it expands, and builds the normal form of an entry
+        only when it expands it: at most ``memory`` products per step. An
+        entry that returns to an element already scored reuses its scores,
+        which still count once per candidate. A ranking scores all its
+        peels with one call and builds no product.
         """
         calls = collections.Counter()
+        products = []
         for name in NF_KERNELS:
             kernel = getattr(kernels, name)
 
             def wrapper(*args, _name=name, _kernel=kernel):
                 calls[_name] += 1
-                return _kernel(*args)
+                out = _kernel(*args)
+                if _name == "multiply_nf":
+                    products.append(out)
+                return out
 
             monkeypatch.setattr(kernels, name, wrapper)
         b5 = artin_structure(5)
@@ -519,9 +525,9 @@ class TestCompiledSet:
         calls.clear()
         out = memory_length_search(target, gens, cfg)
         assert calls["nf_lengths"] == 0
-        assert calls["multiply_nf"] == calls["peel_lengths"]
-        assert calls["multiply_nf"] <= 1 + cfg.memory * (cfg.n - 1)
-        assert out.length_evaluations == 2 * len(gens) * calls["peel_lengths"]
+        assert len(products) <= 1 + cfg.memory * (cfg.n - 1)
+        assert calls["peel_lengths"] == len(set(products)) < len(products)
+        assert out.length_evaluations == 2 * len(gens) * len(products)
         sample = gen_sample(
             ExperimentConfig(
                 ns=5, wl=4, ng=4, sl=6, samples=1, metric=LengthMetric.RATIONAL_BKL, seed=3

@@ -274,13 +274,20 @@ class TestBall:
 class TestOrbitBall:
     @pytest.mark.parametrize(
         "make,n,radius",
-        [(artin_structure, 3, 8), (bkl_structure, 3, 6), (artin_structure, 4, 6), (bkl_structure, 4, 4)],
+        [
+            (artin_structure, 3, 8),
+            (bkl_structure, 3, 6),
+            (artin_structure, 4, 6),
+            (bkl_structure, 4, 4),
+            (bkl_structure, 6, 3),
+        ],
     )
     def test_orbits_cover_the_plain_ball(self, make, n, radius, twins, monkeypatch):
         """On each twin, the orbit ball expands to the plain ball grown by
         ``expand_level`` with the flag off, sphere by sphere, each element
-        once; every element looks up to its own distance; and each stored
-        state is the least blob of its orbit."""
+        once, and ``len()`` counts it; every element looks up to its own
+        distance; each stored state is the least blob of its orbit; and the
+        balls hold orbits of every size that divides the period."""
         structure = make(n)
         code = structure.kind_code
         period = 2 if code == kernels.KIND_ARTIN else n
@@ -307,6 +314,10 @@ class TestOrbitBall:
                     for i in range(period)
                 )
                 assert blob == min(images)
+            sizes = {
+                oracle._orbit_size(code, n, kernels.unpack_nf(blob, n)[1]) for blob in ball.table
+            }
+            assert sizes == {d for d in range(1, period + 1) if period % d == 0}
 
 
 class TestExactness:

@@ -1,5 +1,6 @@
 """Memory-length search: scoring, determinism, verification, equations."""
 
+import collections
 import itertools
 import random
 
@@ -8,9 +9,10 @@ import pytest
 from conftest import random_word
 from garsidekit import kernels, solver
 from garsidekit.artin import artin_structure
+from garsidekit.bkl import bkl_structure
 from garsidekit.core import equals
 from garsidekit.errors import NoSolutionFound
-from garsidekit.lengths import LengthMetric, metric_length, to_metric_structure
+from garsidekit.lengths import LengthMetric, metric_length
 from garsidekit.solver import (
     EquationSpec,
     ScoredSequence,
@@ -43,26 +45,22 @@ def config(n, memory, metric=LengthMetric.RATIONAL_ARTIN, **kw):
 
 
 def reference_search(c, gens, cfg):
-    """The beam built one product per peel, scored by its normal form."""
-    c = to_metric_structure(c, cfg.metric)
-    gens = [to_metric_structure(g, cfg.metric) for g in gens]
-    code, n = c.structure.kind_code, c.structure.strand_count
-    pick = 1 if cfg.metric.rational else 0
-    beam = [(0, (), c.raw_nf())]
+    """The beam built word by word: each candidate ``g_j ** -sign * current``
+    is scored by ``metric_length``, with no batched kernel and no memo."""
+    beam = [(0, (), c)]
     evaluations = 0
     for _ in range(cfg.n):
         extensions = []
-        for _score, moves, nf in beam:
+        for _score, moves, current in beam:
             for j, g in enumerate(gens, start=1):
                 for sign in (1, -1):
-                    peel = kernels.invert_nf(code, n, *g.raw_nf()) if sign > 0 else g.raw_nf()
-                    product = kernels.multiply_nf(code, n, *peel, *nf)
+                    candidate = g**-sign * current
                     evaluations += 1
-                    score = kernels.nf_lengths(code, n, *product)[pick]
-                    extensions.append((score, moves + ((j, sign),), product))
+                    score = metric_length(candidate, cfg.metric)
+                    extensions.append((score, moves + ((j, sign),), candidate))
         extensions.sort(key=lambda entry: entry[0])
         beam = extensions[: cfg.memory]
-    sequences = tuple(ScoredSequence(moves, score) for score, moves, _nf in beam)
+    sequences = tuple(ScoredSequence(moves, score) for score, moves, _word in beam)
     return SearchOutcome(sequences, evaluations)
 
 
@@ -174,7 +172,7 @@ class TestMemoryLengthSearch:
         "strands, seed", [(5, 1), (5, 2), (8, 3), (8, 4)], ids=["B5-1", "B5-2", "B8-3", "B8-4"]
     )
     def test_same_outcome_as_a_product_per_peel(self, strands, seed):
-        """The batched search returns what scoring one product at a time does."""
+        """The batched search returns what the word beam does, ties included."""
         rng = random.Random(seed)
         structure = artin_structure(strands)
         gens = [random_word(rng, structure, 6) for _ in range(strands - 1)]
@@ -188,6 +186,39 @@ class TestMemoryLengthSearch:
             assert out == reference_search(c, gens, cfg)
             scores = [s.score for s in out.sequences]
             assert len(set(scores)) < len(scores)  # ties are broken by insertion
+
+    @pytest.mark.parametrize("make", [artin_structure, bkl_structure], ids=["artin", "band"])
+    @pytest.mark.parametrize("strands", [4, 5, 6])
+    def test_same_outcome_as_a_word_beam_on_each_twin(self, kit, monkeypatch, make, strands):
+        """Each twin's search returns what the word beam does under every
+        metric, on planted targets whose beams return to elements already
+        scored, so that their scores are reused."""
+        calls = collections.Counter()
+        for name in ("word_to_nf", "multiply_nf", "invert_nf", "nf_lengths", "peel_lengths"):
+
+            def counting(*args, _name=name, _kernel=getattr(kit, name)):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(kernels, name, counting)
+        searched = collections.Counter()
+        rng = random.Random(strands)
+        structure = make(strands)
+        for _ in range(2):
+            gens = [random_word(rng, structure, 5) for _ in range(strands - 1)]
+            gens = [g for g in gens if len(g)] or [structure.word([(0, 1)])]
+            c = structure.word()
+            for _ in range(3):
+                c = c * rng.choice(gens) ** rng.choice((1, -1))
+            for metric in LengthMetric:
+                cfg = config(4, 8, metric)
+                calls.clear()
+                expected = reference_search(c, gens, cfg)
+                assert calls["peel_lengths"] == 0
+                calls.clear()
+                assert memory_length_search(c, gens, cfg) == expected
+                searched += calls
+        assert searched["peel_lengths"] < searched["multiply_nf"]
 
 
 class TestVerifyCandidates:
