@@ -344,10 +344,7 @@ def tau_power(x: Union[SimpleElement, BraidWord], k: int):
             x.structure, kernels.tau_simple(x.structure.kind_code, x.data, k)
         )
     table = x.structure.tau_atom_table
-    if x.structure.kind == ARTIN:
-        steps = k % 2
-    else:
-        steps = k % x.structure.strand_count
+    steps = k % kernels.tau_period(x.structure.kind_code, x.structure.strand_count)
     letters = x.letters
     for _ in range(steps):
         letters = tuple((table[a], s) for a, s in letters)

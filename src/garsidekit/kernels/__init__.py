@@ -49,12 +49,15 @@ from ._pure import (
     left_divides,
     make_left_weighted,
     meet,
+    orbit_size,
     pack_nf,
     pack_orbit,
     quotient_left,
     right_complement,
     simple_len,
     simple_to_atoms,
+    tau_orbit,
+    tau_period,
     tau_simple,
     unpack_nf,
 )

@@ -31,14 +31,15 @@ Two structure kinds are supported, selected by the ``kind`` argument:
 
 Each structure has its own fundamental element and atoms
 (``delta_perm``, ``delta_len``, ``atom_count``, ``atom_perm``), its own
-``tau_simple``, and its own algorithm for ``meet``, ``simple_len``,
-``is_simple``, ``simple_to_atoms`` and ``make_left_weighted``. ``join``
-takes the meet of the two complements in one way or the other. The
-complements are products with the fundamental element. Left divisibility
-(``meet(s, t) == s``) and ``join`` follow from the meet by Garside
-identities, which the test suite checks against the raw definitions. An operation on two simples raises
-``ValueError`` when their strand counts differ; a normal-form kernel
-raises it on a factor that is not a simple of the structure.
+``tau_simple`` and ``tau_period``, and its own algorithm for ``meet``,
+``simple_len``, ``is_simple``, ``simple_to_atoms`` and
+``make_left_weighted``. ``join`` takes the meet of the two complements in
+one way or the other. The complements are products with the fundamental
+element. Left divisibility (``meet(s, t) == s``) and ``join`` follow from
+the meet by Garside identities, which the test suite checks against the
+raw definitions. An operation on two simples raises ``ValueError`` when
+their strand counts differ; a normal-form kernel raises it on a factor
+that is not a simple of the structure.
 """
 
 from __future__ import annotations
@@ -151,20 +152,38 @@ def _simple_len(kind: int, p: bytes) -> int:
     return sum(x > i for i, x in enumerate(p))
 
 
+def tau_period(kind: int, n: int) -> int:
+    """The period of tau, conjugation by delta, on ``n`` strands: 2 for
+    Artin and ``n`` for band (1 on no strands), as delta^2 and delta^n
+    are central."""
+    return 2 if kind == KIND_ARTIN else n or 1
+
+
 def tau_simple(kind: int, p: bytes, k: int) -> bytes:
     """Conjugate by the k-th power of the fundamental element."""
-    n = len(p)
+    if not (isinstance(p, bytes) and is_permutation(p, len(p))):
+        raise ValueError(f"{p!r} is not a permutation of range({len(p)})")
+    return _tau(kind, len(p), (p,), k)[0]
+
+
+@functools.cache
+def _tau_table(kind: int, n: int, k: int) -> bytes:
+    """delta^k as a ``bytes.translate`` table: the relabelling of tau^k."""
     if kind == KIND_ARTIN:
-        if k % 2 == 0:
-            return p
-        return bytes(n - 1 - p[n - 1 - i] for i in range(n))
-    k = k % n if n else 0
+        return delta_perm(kind, n) + _PAD[n:]
+    return bytes((x + k) % n for x in range(n)) + _PAD[n:]
+
+
+def _tau(kind: int, n: int, factors: Iterable[bytes], k: int) -> tuple[bytes, ...]:
+    """:func:`tau_simple` of each of ``factors``, which its caller has
+    checked to be permutations of ``n`` strands."""
+    k %= tau_period(kind, n)
     if k == 0:
-        return p
-    out = bytearray(n)
-    for i in range(n):
-        out[(i + k) % n] = (p[i] + k) % n
-    return bytes(out)
+        return tuple(factors)
+    table = _tau_table(kind, n, k)
+    if kind == KIND_ARTIN:
+        return tuple([f[::-1].translate(table) for f in factors])
+    return tuple([(f[n - k :] + f[: n - k]).translate(table) for f in factors])
 
 
 @functools.cache
@@ -471,7 +490,7 @@ def word_to_nf(
     conv: list[bytes] = [b""] * len(raw)
     for i in range(len(raw) - 1, -1, -1):
         d, p = raw[i]
-        conv[i] = tau_simple(kind, p, shift)
+        conv[i] = _tau(kind, n, (p,), shift)[0]
         shift += d
     dk, fs = _normalize_factors(kind, n, conv)
     return shift + dk, fs
@@ -505,8 +524,8 @@ def _multiply(
     if not f1:
         return k1 + k2, tuple(f2)
     if not f2:
-        return k1 + k2, tuple(tau_simple(kind, x, k2) for x in f1)
-    fs = [tau_simple(kind, x, k2) for x in f1]
+        return k1 + k2, _tau(kind, n, f1, k2)
+    fs = list(_tau(kind, n, f1, k2))
     fs.extend(f2)
     dk = _normalize(kind, n, fs, len(f1) - 1)
     return k1 + k2 + dk, tuple(fs)
@@ -524,7 +543,7 @@ def invert_nf(
     _check_factors(kind, n, f)
     r = len(f)
     out = [
-        tau_simple(kind, left_complement(kind, f[j - 1]), -(j - 1) - k)
+        _tau(kind, n, (left_complement(kind, f[j - 1]),), -(j - 1) - k)[0]
         for j in range(r, 0, -1)
     ]
     dk, fs = _normalize_factors(kind, n, out)
@@ -612,23 +631,32 @@ def unpack_nf(blob: bytes, n: int) -> tuple[int, tuple[bytes, ...]]:
     return fields[0], fields[1:]
 
 
-def tau_images(kind: int, n: int, factors: Sequence[bytes]) -> list[tuple[bytes, ...]]:
-    """The factors conjugated by delta^i, for i = 0..1 (Artin) or 0..n-1
-    (band): the tau-orbit of every normal form with these factors.
+def orbit_size(kind: int, n: int, factors: Sequence[bytes]) -> int:
+    """Size of the tau-orbit of every normal form with these factors: the
+    least divisor d of :func:`tau_period` such that tau^d fixes every
+    factor. Tau fixes every delta power. The factors are not checked."""
+    factors = tuple(factors)
+    head = factors[:1]
+    period = tau_period(kind, n)
+    for d in range(1, period):
+        # Most d already move the first factor.
+        if period % d == 0 and _tau(kind, n, head, d) == head:
+            if _tau(kind, n, factors, d) == factors:
+                return d
+    return period
 
-    Conjugation keeps a sequence left-weighted, so each image is a normal
-    form as it stands. A fixed point of some tau^i repeats in the list.
-    """
-    period = 2 if kind == KIND_ARTIN else n
-    return [tuple(factors)] + [
-        tuple(tau_simple(kind, f, i) for f in factors) for i in range(1, period)
-    ]
+
+def tau_orbit(kind: int, n: int, factors: Sequence[bytes]) -> list[tuple[bytes, ...]]:
+    """The factors conjugated by delta^0 .. delta^(d-1), d their
+    :func:`orbit_size`: the distinct images of the tau-orbit, each a normal
+    form as it stands, as tau keeps a sequence left-weighted."""
+    return [_tau(kind, n, factors, i) for i in range(orbit_size(kind, n, factors))]
 
 
 def pack_orbit(kind: int, n: int, k: int, factors: Sequence[bytes]) -> bytes:
     """The least packed blob of the tau-orbit of ``(k, factors)``: every
     image shares the delta power, so that is the least joined image."""
-    return _POWER.pack(k) + min(b"".join(image) for image in tau_images(kind, n, factors))
+    return _POWER.pack(k) + min(b"".join(image) for image in tau_orbit(kind, n, factors))
 
 
 def expand_level(

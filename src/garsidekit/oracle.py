@@ -7,12 +7,12 @@ normal form, and adds one level to a ball by right multiplication.
 element, one state per tau-orbit. ``geodesic_length`` searches from both
 ends (Pohl 1971): one ball grows around the identity and one around its
 target ``x``, one full level at a time of the side with the smaller
-frontier, ties going to the identity. The graph is undirected, because the signed atoms are closed
-under inversion, so while the balls of radii r0 and r1 share no state,
-``x`` lies more than r0 + r1 letters away; the first slice of a new level
-of one side that meets the other's table therefore bounds the length by
-one more, and that is the answer. Two balls of half the radius replace
-one of the full radius.
+frontier, ties going to the identity. The graph is undirected, because
+the signed atoms are closed under inversion, so while the balls of radii
+r0 and r1 share no state, ``x`` lies more than r0 + r1 letters away; the
+first slice of a new level of one side that meets the other's table
+therefore bounds the length by one more, and that is the answer. Two
+balls of half the radius replace one of the full radius.
 
 Each state is held once, as one ``bytes`` blob (``kernels.pack_nf``): the
 delta power as 8 signed big-endian bytes, wide enough for every power the
@@ -98,7 +98,7 @@ class BallIndex:
 
     def __len__(self) -> int:
         code, n = self.structure.kind_code, self.structure.strand_count
-        return sum(_orbit_size(code, n, unpack_nf(blob, n)[1]) for blob in self.table)
+        return sum(kernels.orbit_size(code, n, unpack_nf(blob, n)[1]) for blob in self.table)
 
     def lookup_raw(self, k: int, factors: tuple[bytes, ...]) -> int | None:
         """Distance of the normal form ``(k, factors)``, or None outside
@@ -131,24 +131,13 @@ class BallIndex:
 
     def raw_items(self) -> Iterator[tuple[RawNF, int]]:
         """Every element once, orbit by orbit in table order: the images
-        under tau^0 .. tau^(d-1) of each stored state, d its orbit's size."""
+        under tau^0 .. tau^(d-1) of each stored state (``kernels.tau_orbit``),
+        d its orbit's size."""
         code, n = self.structure.kind_code, self.structure.strand_count
-        tau = kernels.tau_simple
         for blob, dist in self.table.items():
             k, factors = unpack_nf(blob, n)
-            for i in range(_orbit_size(code, n, factors)):
-                yield (k, tuple([tau(code, f, i) for f in factors])), dist
-
-
-def _orbit_size(code: int, n: int, factors: tuple[bytes, ...]) -> int:
-    """Size of the tau-orbit of a normal form with these factors: the least
-    divisor d of the period (2 in Artin B_n, n in band B_n) such that
-    tau^d fixes every factor. Tau fixes every delta power."""
-    period = 2 if code == kernels.KIND_ARTIN else n
-    for d in range(1, period):
-        if period % d == 0 and all(kernels.tau_simple(code, f, d) == f for f in factors):
-            return d
-    return period
+            for image in kernels.tau_orbit(code, n, factors):
+                yield (k, image), dist
 
 
 def _grow(
@@ -202,8 +191,9 @@ def enumerate_ball(
     tau-orbits.
 
     ``max_nodes`` bounds the stored orbits, which hold about twice as many
-    elements in Artin B_n and up to n times as many in band B_n. ``deadline`` is an absolute ``time.monotonic()`` value; past
-    it the search raises :class:`GuardExceeded`.
+    elements in Artin B_n and up to n times as many in band B_n.
+    ``deadline`` is an absolute ``time.monotonic()`` value; past it the
+    search raises :class:`GuardExceeded`.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")

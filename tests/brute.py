@@ -15,6 +15,28 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q[x] for x in p)
 
 
+@lru_cache(maxsize=None)
+def delta_power(kind: int, n: int, k: int) -> tuple[int, ...]:
+    """The k-th power, of either sign, of the fundamental permutation: the
+    reversal for Artin, the cycle i -> i+1 (mod n) for band."""
+    if kind == 0:
+        step = tuple(n - 1 - i for i in range(n))
+    else:
+        step = tuple((i + 1) % n for i in range(n))
+    if k < 0:
+        step = tuple(step.index(i) for i in range(n))
+    out = tuple(range(n))
+    for _ in range(abs(k)):
+        out = compose(out, step)
+    return out
+
+
+def tau(kind: int, p: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Conjugation by delta^k from its definition: delta^-k * p * delta^k."""
+    n = len(p)
+    return compose(compose(delta_power(kind, n, -k), p), delta_power(kind, n, k))
+
+
 def inversions(p: tuple[int, ...]) -> int:
     return sum(
         1

@@ -279,6 +279,13 @@ class TestTau:
                     data = kernels.atom_perm(kind, n, a)
                     assert kernels.tau_simple(kind, data, period) == data
 
+    @pytest.mark.parametrize("kind", BOTH_KINDS)
+    def test_tau_is_conjugation_by_delta(self, kind):
+        for n in range(8):
+            for p in brute.all_simples(kind, n):
+                for k in range(-3, 2 * n + 2):
+                    assert kernels.tau_simple(kind, bytes(p), k) == bytes(brute.tau(kind, p, k))
+
 
 class TestBackendEquivalence:
     """The compiled twin must agree with the pure one bit for bit."""
@@ -564,6 +571,9 @@ BAD_CALLS = [
     r"quotient_left(b'\x00\x01\x02', b'\x00')",
     r"quotient_left(b'\x00\x01', b'\x00\x01\x02')",
     r"tau_simple(0, b'\x00\x01\x05', 1)",
+    # Not permutations: tau refuses them rather than relabel their bytes.
+    r"tau_simple(1, b'\x00\x01\x05', 1)",
+    r"tau_simple(0, b'\x00\x00\x01', 1)",
     r"make_left_weighted(0, b'\x01\x00', b'\x00')",
     r"make_left_weighted(0, b'\x00\x01', b'\x02\x00\x01')",
     r"is_left_weighted(0, b'\x00\x01', b'\x00')",

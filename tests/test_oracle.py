@@ -286,8 +286,9 @@ class TestOrbitBall:
         """On each twin, the orbit ball expands to the plain ball grown by
         ``expand_level`` with the flag off, sphere by sphere, each element
         once, and ``len()`` counts it; every element looks up to its own
-        distance; each stored state is the least blob of its orbit; and the
-        balls hold orbits of every size that divides the period."""
+        distance; each stored state is the least blob of its orbit, whose
+        distinct images ``tau_orbit`` lists; and the balls hold orbits of
+        every size that divides the period."""
         structure = make(n)
         code = structure.kind_code
         period = 2 if code == kernels.KIND_ARTIN else n
@@ -309,13 +310,15 @@ class TestOrbitBall:
                 assert ball.lookup_raw(*kernels.unpack_nf(blob, n)) == dist
             for blob in ball.table:
                 k, factors = kernels.unpack_nf(blob, n)
-                images = (
-                    kernels.pack_nf(k, [_pure.tau_simple(code, f, i) for f in factors])
-                    for i in range(period)
-                )
-                assert blob == min(images)
+                images = {
+                    tuple(_pure.tau_simple(code, f, i) for f in factors) for i in range(period)
+                }
+                assert blob == min(kernels.pack_nf(k, image) for image in images)
+                orbit = kernels.tau_orbit(code, n, factors)
+                assert len(set(orbit)) == len(orbit) == kernels.orbit_size(code, n, factors)
+                assert set(orbit) == images
             sizes = {
-                oracle._orbit_size(code, n, kernels.unpack_nf(blob, n)[1]) for blob in ball.table
+                kernels.orbit_size(code, n, kernels.unpack_nf(blob, n)[1]) for blob in ball.table
             }
             assert sizes == {d for d in range(1, period + 1) if period % d == 0}
 
