@@ -3,16 +3,20 @@
 Subcommands: ``nf`` (normal forms), ``len`` (length metrics), ``solve``
 (equation search from a JSON spec), ``experiment`` / ``compare`` (ranking
 experiments from a JSON config, CSV/SVG out), ``oracle`` (exact geodesic
-length). Exit codes: 0 success, 1 no-solution or not-found, 2 usage error.
+length), ``info`` (the kernel backend and the interpreter). Exit codes: 0
+success, 1 no-solution or not-found, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 
+from . import kernels
 from .artin import artin_structure
 from .bkl import bkl_structure
 from .core import greedy_nf, rational_nf
@@ -140,6 +144,20 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _cmd_info(args) -> int:
+    print(
+        json.dumps(
+            {
+                "backend": kernels.BACKEND,
+                "kernels": kernels.backends()[kernels.BACKEND].__file__,
+                "python": platform.python_version(),
+                "cpu_count": os.cpu_count(),
+            }
+        )
+    )
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="garsidekit",
@@ -201,6 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--svg", default=None)
     cmp_.add_argument("--workers", type=int, default=1)
     cmp_.set_defaults(func=_cmd_compare)
+
+    info = sub.add_parser("info", help="kernel backend and interpreter, as JSON")
+    info.set_defaults(func=_cmd_info)
 
     return parser
 

@@ -469,30 +469,71 @@ def _normalize_factors(
     return k, tuple(fs)
 
 
+def _grow_run(
+    kind: int, run: bytearray, size: int, a: int, p: bytes, positive: bool
+) -> bool:
+    """Put the letter of atom ``a`` (permutation ``p``) and the run's sign in
+    front of the simple run ``run`` of ``size`` letters, in place, if the
+    run's atoms still multiply to a simple; return whether it did.
+
+    An Artin run holds the permutation of its atoms in word order, whatever
+    its sign. The new atom swaps slots ``a`` and ``a + 1``, and the atoms
+    stay a permutation braid iff the two strands starting there have not
+    crossed yet. A band run holds its positive simple: ``a1 ... ak`` for a
+    positive run, ``ak ... a1`` for a negative one, whose inverse the run
+    is. The new product must be a band simple of one more atom.
+    """
+    if kind == KIND_ARTIN:
+        if run[a] > run[a + 1]:
+            return False
+        run[a], run[a + 1] = run[a + 1], run[a]
+        return True
+    grown = _compose(p, run) if positive else _compose(run, p)
+    if not _is_band_simple(grown) or _simple_len(kind, grown) != size + 1:
+        return False
+    run[:] = grown
+    return True
+
+
 def word_to_nf(
     kind: int, n: int, letters: Iterable[tuple[int, int]]
 ) -> tuple[int, tuple[bytes, ...]]:
     """Normal form of a word given as (atom index, sign) pairs.
 
-    A negative letter ``a^-1`` is rewritten as ``delta^-1 * c`` with
-    ``c * a = delta``; the delta powers are then swept to the front, which
-    twists each factor by the power of delta passing through it.
+    The word is cut, from the back, into simple runs: maximal runs of
+    same-sign letters whose atoms multiply to a simple (:func:`_grow_run`).
+    A positive run is that simple. A negative run ``a1^-1 ... ak^-1`` is
+    ``(ak ... a1)^-1 = delta^-1 * c`` with ``c * ak ... a1 = delta``, one
+    delta for the whole run. The delta powers are then swept to the front,
+    which twists each factor by the power of delta passing through it: one
+    factor per simple run, then grown from the front.
     """
     _check_bounds(n)
-    raw: list[tuple[int, bytes]] = []
-    for a, sign in letters:
+    # (positive, run) pairs from the back of the word.
+    runs: list[tuple[bool, bytearray]] = []
+    size = 0
+    for a, sign in reversed(list(letters)):
         p = atom_perm(kind, n, a)
-        if sign > 0:
-            raw.append((0, p))
+        positive = sign > 0
+        if size and runs[-1][0] == positive and _grow_run(
+            kind, runs[-1][1], size, a, p, positive
+        ):
+            size += 1
         else:
-            raw.append((-1, left_complement(kind, p)))
+            runs.append((positive, bytearray(p)))
+            size = 1
+    dp = delta_perm(kind, n)
     shift = 0
-    conv: list[bytes] = [b""] * len(raw)
-    for i in range(len(raw) - 1, -1, -1):
-        d, p = raw[i]
-        conv[i] = _tau(kind, n, (p,), shift)[0]
-        shift += d
-    dk, fs = _normalize_factors(kind, n, conv)
+    conv: list[bytes] = []
+    for positive, run in runs:
+        f = bytes(run)
+        # The left complement of ak ... a1 is delta * (ak ... a1)^-1, and
+        # an Artin run holds that inverse.
+        if not positive:
+            f = _compose(dp, f if kind == KIND_ARTIN else invert(f))
+        conv.append(_tau(kind, n, (f,), shift)[0])
+        shift -= not positive
+    dk, fs = _normalize_factors(kind, n, conv[::-1])
     return shift + dk, fs
 
 

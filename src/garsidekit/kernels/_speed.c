@@ -138,14 +138,14 @@ perm_ok(const u8 *p, int n)
     return 1;
 }
 
-/* 1 if the permutation ``p`` is a band simple, else 0 with an exception
- * set. A band simple maps each slot to the next larger slot of its block
- * and the largest back to the smallest, and its blocks do not cross. One
- * ascending scan checks that, keeping each block that is open at ``i`` on
- * a stack with the slot it goes on to and its smallest slot: blocks nest,
- * so the innermost, on top, goes on to the nearest slot. */
+/* Whether the permutation ``p`` is a band simple. A band simple maps each
+ * slot to the next larger slot of its block and the largest back to the
+ * smallest, and its blocks do not cross. One ascending scan checks that,
+ * keeping each block that is open at ``i`` on a stack with the slot it goes
+ * on to and its smallest slot: blocks nest, so the innermost, on top, goes
+ * on to the nearest slot. */
 static int
-band_ok(const u8 *p, int n)
+is_band_simple(const u8 *p, int n)
 {
     u8 next[MAXN], low[MAXN];
     int i, lo, depth = 0;
@@ -153,18 +153,25 @@ band_ok(const u8 *p, int n)
         lo = depth > 0 && next[depth - 1] == i ? low[--depth] : i;
         if (p[i] > i) {
             if (depth > 0 && next[depth - 1] < p[i])
-                break;
+                return 0;
             next[depth] = p[i];
             low[depth++] = (u8)lo;
         } else if (p[i] != lo) {
-            break;
+            return 0;
         }
     }
-    if (i < n) {
-        PyErr_Format(PyExc_ValueError, "not a band simple of %d strands", n);
-        return 0;
-    }
     return 1;
+}
+
+/* 1 if the permutation ``p`` is a band simple, else 0 with an exception
+ * set. */
+static int
+band_ok(const u8 *p, int n)
+{
+    if (is_band_simple(p, n))
+        return 1;
+    PyErr_Format(PyExc_ValueError, "not a band simple of %d strands", n);
+    return 0;
 }
 
 /* 1 if the n bytes at ``p`` are a simple of the structure, else 0 with an
@@ -325,6 +332,35 @@ fill_atom(int kind, int n, int a, u8 *out)
     s = a - t * (t - 1) / 2;
     out[t] = (u8)s;
     out[s] = (u8)t;
+}
+
+/* Put the letter of atom ``a`` and the run's sign in front of the simple run
+ * ``run`` of ``size`` letters, in place, if the run's atoms still multiply
+ * to a simple; returns whether it did. An Artin run holds the permutation
+ * of its atoms in word order, whatever its sign. The new atom swaps slots a
+ * and a + 1, and the atoms stay a permutation braid iff the two strands
+ * starting there have not crossed yet. A band run holds its positive
+ * simple: a1 ... ak for a positive run, ak ... a1 for a negative one, whose
+ * inverse the run is. The new product must be a band simple of one more
+ * atom. */
+static int
+grow_run(int kind, int n, u8 *run, int size, int a, int positive)
+{
+    u8 atom[MAXN], grown[MAXN], x;
+    int i;
+    if (kind == KIND_ARTIN) {
+        if (run[a] > run[a + 1])
+            return 0;
+        x = run[a], run[a] = run[a + 1], run[a + 1] = x;
+        return 1;
+    }
+    fill_atom(kind, n, a, atom);
+    for (i = 0; i < n; i++)
+        grown[i] = positive ? run[atom[i]] : atom[run[i]];
+    if (!is_band_simple(grown, n) || simple_length(kind, grown, n) != size + 1)
+        return 0;
+    memcpy(run, grown, n);
+    return 1;
 }
 
 /* Meet of two band simples into ``out``; returns 1 when it is the
@@ -628,16 +664,43 @@ letter_arg(PyObject *o, long long atoms, int *atom, int *positive)
     return ok;
 }
 
+/* Store the simple run ``run`` (``grow_run``) of the given sign, twisted by
+ * delta^shift, in the slot before ``*top`` unless it is the identity;
+ * returns the delta power the run adds. A negative run is delta^-1 times
+ * the left complement of ak ... a1, which is delta * (ak ... a1)^-1. An
+ * Artin run holds that inverse, so the complement is the run read from the
+ * back. */
+static int
+put_run(int kind, int n, flist *fs, Py_ssize_t *top, const u8 *run, int positive,
+        long long shift)
+{
+    u8 lc[MAXN], buf[MAXN];
+    const u8 *f = run;
+    int i;
+    if (!positive) {
+        if (kind == KIND_ARTIN)
+            for (i = 0; i < n; i++)
+                lc[i] = run[n - 1 - i];
+        else
+            fill_left_complement(kind, run, lc, n);
+        f = lc;
+    }
+    if (twist(kind, f, buf, n, shift))
+        f = buf;
+    if (!is_identity(f, n))
+        memcpy(SLOT(fs, --*top, n), f, n);
+    return -!positive;
+}
+
 static PyObject *
 py_word_to_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    u8 q[MAXN], atom[MAXN], buf[MAXN];
+    u8 run[MAXN];
     PyObject *seq, *out = NULL;
     flist fs = {NULL, NULL, 0, 0};
-    const u8 *f;
     long long shift = 0, atoms;
     Py_ssize_t i, top;
-    int kind, n, a, positive;
+    int kind, n, a, positive, sign = 0, size = 0;
     if (!nargs_ok("word_to_nf", nargs, 3) || !kind_arg(args[0], &kind)
         || !strands_arg(args[1], &n) || !(seq = PySequence_Tuple(args[2])))
         return NULL;
@@ -645,24 +708,29 @@ py_word_to_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     top = PyTuple_GET_SIZE(seq);
     if (!flist_reserve(&fs, top, n))
         goto done;
-    /* A negative letter a^-1 is delta^-1 * c with c * a = delta. Sweeping
-     * the deltas to the front twists each factor by the power of delta
-     * that passes through it: the count of negative letters to its right.
-     * The factors fill the list's slots from the back; then the normal
-     * form grows from the front, one factor appended at a time. */
+    /* The word is cut, from the back, into simple runs: maximal runs of
+     * same-sign letters whose atoms multiply to a simple (``grow_run``). A
+     * positive run is that simple; a negative run a1^-1 ... ak^-1 is
+     * (ak ... a1)^-1 = delta^-1 * c with c * ak ... a1 = delta, one delta for
+     * the whole run. Sweeping the deltas to the front twists each factor by
+     * the power of delta that passes through it: the count of negative runs
+     * to its right. The factors fill the list's slots from the back, one
+     * factor per simple run, then the normal form is grown from the front. */
     for (i = PyTuple_GET_SIZE(seq) - 1; i >= 0; i--) {
         if (!letter_arg(PyTuple_GET_ITEM(seq, i), atoms, &a, &positive))
             goto done;
-        fill_atom(kind, n, a, atom);
-        if (positive)
-            memcpy(q, atom, n);
-        else
-            fill_left_complement(kind, atom, q, n);
-        f = twist(kind, q, buf, n, shift) ? buf : q;
-        if (!is_identity(f, n))
-            memcpy(SLOT(&fs, --top, n), f, n);
-        shift -= !positive;
+        if (size > 0 && positive == sign && grow_run(kind, n, run, size, a, positive)) {
+            size++;
+            continue;
+        }
+        if (size > 0)
+            shift += put_run(kind, n, &fs, &top, run, sign, shift);
+        fill_atom(kind, n, a, run);
+        sign = positive;
+        size = 1;
     }
+    if (size > 0)
+        shift += put_run(kind, n, &fs, &top, run, sign, shift);
     for (i = top; i < PyTuple_GET_SIZE(seq); i++)
         shift += append_simple(kind, n, &fs, SLOT(&fs, i, n));
     out = nf_object(n, shift, &fs, NULL, NULL);

@@ -1,9 +1,14 @@
 """CLI: golden invocations, exit codes, output round trips."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import pytest
 
+import garsidekit
 from garsidekit import kernels
 from garsidekit.artin import artin_structure
 from garsidekit.bkl import bkl_structure
@@ -321,3 +326,29 @@ class TestDispatch:
         assert dispatch(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestInfo:
+    @pytest.mark.parametrize("pure", [False, True], ids=["as-is", "pure"])
+    def test_prints_backend_and_interpreter(self, pure):
+        """One JSON object: the backend this environment selects and its
+        file, the Python version and the CPU count."""
+        env = dict(os.environ)
+        if pure:
+            env["GARSIDEKIT_PURE"] = "1"
+        src = os.path.dirname(os.path.dirname(garsidekit.__file__))
+        path = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+        done = subprocess.run(
+            [sys.executable, "-m", "garsidekit.cli", "info"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        backend = "pure" if pure else kernels.BACKEND
+        assert json.loads(done.stdout) == {
+            "backend": backend,
+            "kernels": kernels.backends()[backend].__file__,
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+        }
+        assert done.stdout.count("\n") == 1

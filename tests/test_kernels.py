@@ -248,6 +248,55 @@ class TestNormalForms:
             assert kernels.is_left_weighted(kind, *got)
 
 
+def run_heavy_words(kind, n, rng):
+    """Words of long simple runs: each sign alone, a strong sign bias, and
+    one atom repeated, so that a run meets a repeated crossing."""
+    atoms = _pure.atom_count(kind, n)
+    words = [
+        [(a, sign)] * count
+        for a in {0, atoms // 2, atoms - 1}
+        for sign in (1, -1)
+        for count in (2, 3)
+    ]
+    for bias in (1.0, 0.0, 0.9, 0.1):
+        for _ in range(6):
+            # Half the letters from a pool of three atoms, for repeats.
+            pool = [rng.randrange(atoms) for _ in range(3)]
+            words.append(
+                [
+                    (
+                        rng.choice(pool) if rng.random() < 0.5 else rng.randrange(atoms),
+                        1 if rng.random() < bias else -1,
+                    )
+                    for _ in range(rng.randrange(1, 25))
+                ]
+            )
+    return words
+
+
+class TestSimpleRuns:
+    """``word_to_nf`` makes one factor of each run of same-sign letters
+    whose atoms multiply to a simple; the normal form must not change."""
+
+    @pytest.mark.parametrize("kind", BOTH_KINDS)
+    @pytest.mark.parametrize("n", (2, 3, 4, 8, 16))
+    def test_run_heavy_words(self, kit, kind, n):
+        rng = random.Random(f"simple runs:{kind}:{n}")
+        ld = _pure.delta_len(kind, n)
+        for word in run_heavy_words(kind, n, rng):
+            k, f = kit.word_to_nf(kind, n, word)
+            # Single letters meet no run of two: fold their forms instead.
+            fold = (0, ())
+            for letter in word:
+                fold = kit.multiply_nf(kind, n, *fold, *kit.word_to_nf(kind, n, [letter]))
+            assert (k, f) == fold, word
+            # The exponent sum counts each delta by its length.
+            assert k * ld + sum(_pure.simple_len(kind, x) for x in f) == sum(
+                sign for _, sign in word
+            ), word
+            assert (k, f) == _pure.word_to_nf(kind, n, word), word
+
+
 class TestTau:
     @pytest.mark.parametrize("kind", BOTH_KINDS)
     @pytest.mark.parametrize("n", (3, 4, 6, 8))
@@ -483,7 +532,13 @@ class TestCompiledSet:
             return wrapper
 
         # Structures read their shape constants, and the band translation
-        # renames letters; neither is a kernel call.
+        # renames letters; neither is a kernel call. The structures are
+        # cached, and building one reads its atoms and their tau twists:
+        # build them here, before the count starts, so that the count does
+        # not depend on which tests ran first.
+        for n in (4, 5):
+            artin_structure(n)
+            bkl_structure(n)
         skip = {*NF_KERNELS, "atom_count", "delta_len", "bkl_atom_index", "bkl_atom_pair"}
         for name, value in list(vars(kernels).items()):
             if callable(value) and not name.startswith("_") and name not in skip:
