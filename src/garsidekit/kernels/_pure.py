@@ -44,7 +44,9 @@ that is not a simple of the structure.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import operator
 import struct
 from typing import Iterable, Sequence
 
@@ -139,17 +141,18 @@ def simple_len(kind: int, p: bytes) -> int:
 
 def _simple_len(kind: int, p: bytes) -> int:
     """:func:`simple_len` of a simple its caller has checked."""
-    n = len(p)
     if kind == KIND_ARTIN:
+        # The inversions: read from the back, each value crosses the later
+        # values below it, which a sorted list of them counts by bisection.
+        later: list[int] = []
         count = 0
-        for i in range(n):
-            pi = p[i]
-            for j in range(i + 1, n):
-                if pi > p[j]:
-                    count += 1
+        for x in reversed(p):
+            below = bisect.bisect_left(later, x)
+            count += below
+            later.insert(below, x)
         return count
     # n minus the block count: all but the largest slot of a block map upward.
-    return sum(x > i for i, x in enumerate(p))
+    return sum(map(operator.gt, p, range(len(p))))
 
 
 def tau_period(kind: int, n: int) -> int:
@@ -440,14 +443,37 @@ def _normalize(kind: int, n: int, fs: list[bytes], last: int) -> int:
     return lead
 
 
+def _prepend(kind: int, n: int, fs: list[bytes], f: bytes, k: int) -> int:
+    """Left-multiply the normal form ``delta^k * fs`` by the simple ``f``, in
+    place; return the new delta power.
+
+    ``f * delta^k = delta^k * tau^k(f)``, so ``f`` is twisted by ``k``. An
+    identity is dropped and a delta only raises the power; any other simple
+    goes in front of ``fs`` and one rightward domino (:func:`_absorb`)
+    left-weights the whole. The infimum rises by at most one per simple, so
+    at most one delta then leads, and it is stripped off.
+    """
+    f = _tau(kind, n, (f,), k)[0]
+    if f == identity_perm(n):
+        return k
+    dp = delta_perm(kind, n)
+    if f == dp:
+        return k + 1
+    fs.insert(0, f)
+    _absorb(kind, fs, 0, identity_perm(n))
+    if fs[0] == dp:
+        del fs[0]
+        k += 1
+    return k
+
+
 def normalize_factors(
     kind: int, n: int, factors: Iterable[bytes]
 ) -> tuple[int, tuple[bytes, ...]]:
     """Normalize an arbitrary sequence of simple factors.
 
     Returns the power of delta that migrated to the front together with
-    the left-weighted remainder. The normal form grows from the front, one
-    factor appended at a time.
+    the left-weighted remainder.
     """
     factors = list(factors)
     _check_bounds(n)
@@ -456,16 +482,18 @@ def normalize_factors(
 
 
 def _normalize_factors(
-    kind: int, n: int, factors: Iterable[bytes]
+    kind: int, n: int, factors: Sequence[bytes]
 ) -> tuple[int, tuple[bytes, ...]]:
-    """:func:`normalize_factors` of simples its caller has checked."""
-    idp = identity_perm(n)
+    """:func:`normalize_factors` of simples its caller has checked.
+
+    The normal form is grown from the back, one domino per factor
+    (:func:`_prepend`): the last factor first, each one twisted by the
+    deltas stripped off the suffix so far.
+    """
     fs: list[bytes] = []
     k = 0
-    for f in factors:
-        if f != idp:
-            fs.append(f)
-            k += _normalize(kind, n, fs, len(fs) - 2)
+    for f in reversed(factors):
+        k = _prepend(kind, n, fs, f, k)
     return k, tuple(fs)
 
 
@@ -504,9 +532,10 @@ def word_to_nf(
     same-sign letters whose atoms multiply to a simple (:func:`_grow_run`).
     A positive run is that simple. A negative run ``a1^-1 ... ak^-1`` is
     ``(ak ... a1)^-1 = delta^-1 * c`` with ``c * ak ... a1 = delta``, one
-    delta for the whole run. The delta powers are then swept to the front,
-    which twists each factor by the power of delta passing through it: one
-    factor per simple run, then grown from the front.
+    delta for the whole run. The normal form is grown from the back, one
+    domino per factor (:func:`_prepend`): each run's simple is twisted by
+    the delta power to its right, the negative runs' and the stripped
+    deltas alike.
     """
     _check_bounds(n)
     # (positive, run) pairs from the back of the word.
@@ -523,18 +552,19 @@ def word_to_nf(
             runs.append((positive, bytearray(p)))
             size = 1
     dp = delta_perm(kind, n)
-    shift = 0
-    conv: list[bytes] = []
+    fs: list[bytes] = []
+    k = 0
     for positive, run in runs:
         f = bytes(run)
-        # The left complement of ak ... a1 is delta * (ak ... a1)^-1, and
-        # an Artin run holds that inverse.
-        if not positive:
+        if positive:
+            k = _prepend(kind, n, fs, f, k)
+        else:
+            # The left complement of ak ... a1 is delta * (ak ... a1)^-1,
+            # and an Artin run holds that inverse; its delta^-1 lies left
+            # of it.
             f = _compose(dp, f if kind == KIND_ARTIN else invert(f))
-        conv.append(_tau(kind, n, (f,), shift)[0])
-        shift -= not positive
-    dk, fs = _normalize_factors(kind, n, conv[::-1])
-    return shift + dk, fs
+            k = _prepend(kind, n, fs, f, k) - 1
+    return k, tuple(fs)
 
 
 def multiply_nf(
@@ -577,18 +607,21 @@ def invert_nf(
 ) -> tuple[int, tuple[bytes, ...]]:
     """Inverse of a normal form.
 
-    Each reversed factor contributes ``delta^-1 * left_complement``, and
-    sweeping the deltas frontward twists the complements.
+    ``(delta^k f1 ... fr)^-1 = delta^-1 c_r ... delta^-1 c_1 delta^-k`` with
+    ``c_j`` the left complement of ``f_j``, so the complements are
+    prepended from ``c_1`` on, each followed by one delta^-1. The reversed,
+    twisted complements of a normal form are already left-weighted, so on
+    a normal form each :func:`_prepend` ends after one slide that moves
+    nothing; that slide is what keeps a factor sequence that is not
+    left-weighted correct, so it must stay.
     """
     _check_bounds(n, k)
     _check_factors(kind, n, f)
-    r = len(f)
-    out = [
-        _tau(kind, n, (left_complement(kind, f[j - 1]),), -(j - 1) - k)[0]
-        for j in range(r, 0, -1)
-    ]
-    dk, fs = _normalize_factors(kind, n, out)
-    return -k - r + dk, fs
+    fs: list[bytes] = []
+    k = -k
+    for x in f:
+        k = _prepend(kind, n, fs, left_complement(kind, x), k) - 1
+    return k, tuple(fs)
 
 
 def delta_len(kind: int, n: int) -> int:

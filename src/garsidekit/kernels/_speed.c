@@ -21,10 +21,12 @@
  * as its namesake in ``_pure.py``, which is the reference; the test suite
  * drives both on the same inputs. Permutations stay ``bytes`` at the
  * boundary and become C arrays inside: each kernel copies the factors it
- * reads into one factor list (``flist``), and ``normalize`` left-weights
- * that list in place. Where the pure twin hands back an input object
- * unchanged (a trivial twist, the factors a product leaves alone), so does
- * this one, so callers that keep many normal forms share their factors.
+ * reads into one factor list (``flist``) and left-weights it in place:
+ * ``normalize`` for a product of two normal forms, ``prepend_simple`` for a
+ * word or an inverse, grown from the back. Where the pure twin hands back
+ * an input object unchanged (a trivial twist, the factors a product leaves
+ * alone), so does this one, so callers that keep many normal forms share
+ * their factors.
  *
  * The algorithms are the pure twin's, on C arrays. The band meet, which
  * walks the blocks of one argument upward, is exact only on band simples,
@@ -535,8 +537,9 @@ push_factors(int kind, int n, flist *fs, PyObject *seq, long long k, Py_ssize_t 
  * is already left-weighted (the rest stays as it is) or nothing is left to
  * carry. By the domino rule of Garside theory, fs[i:] is then left-weighted
  * save for deltas at its front. Returns 0 when the first pair was already
- * left-weighted. */
-static int
+ * left-weighted. Inline: with a second caller, ``prepend_simple``, gcc 12
+ * left it out of line, which cost the oracle's ``normalize`` about 1%. */
+static inline int
 absorb(int kind, int n, flist *fs, Py_ssize_t i)
 {
     u8 s2[MAXN], p2[MAXN];
@@ -563,9 +566,8 @@ absorb(int kind, int n, flist *fs, Py_ssize_t i)
  * The factors from ``last`` down are absorbed into the suffix one at a
  * time, until one leaves its right neighbour alone: the pairs left of it
  * are untouched, hence still left-weighted. Deltas migrate to the front;
- * identity factors left at the back are dropped. This is the one
- * normalization loop: every normal form and every scored product goes
- * through it. */
+ * identity factors left at the back are dropped. Every product goes
+ * through it: ``multiply_nf``, ``peel_lengths`` and ``expand_level``. */
 static Py_ssize_t
 normalize(int kind, int n, flist *fs, Py_ssize_t last)
 {
@@ -582,13 +584,34 @@ normalize(int kind, int n, flist *fs, Py_ssize_t last)
     return lead;
 }
 
-/* Right-multiply the normal form in ``fs`` by the simple ``p`` (reserved by
- * the caller); returns the deltas stripped off the front. */
-static Py_ssize_t
-append_simple(int kind, int n, flist *fs, const u8 *p)
+/* Left-multiply the normal form delta^*k * fs[*head:] by the simple ``p``,
+ * in place, writing its new first factor into the free slot before
+ * ``*head``. p * delta^k = delta^k * tau^k(p), so ``p`` is twisted by *k.
+ * An identity is dropped and a delta only raises *k; any other simple goes
+ * in front and one rightward domino (``absorb``) left-weights the whole.
+ * The infimum rises by at most one per simple, so at most one delta then
+ * leads, and it is stripped off. This is the one way a normal form is
+ * grown from a factor sequence: from the back, one domino per factor. */
+static void
+prepend_simple(int kind, int n, flist *fs, Py_ssize_t *head, const u8 *p, long long *k)
 {
-    flist_push(fs, p, n, -1);
-    return normalize(kind, n, fs, fs->r - 2);
+    u8 buf[MAXN], dlt[MAXN];
+    if (twist(kind, p, buf, n, *k))
+        p = buf;
+    if (is_identity(p, n))
+        return;
+    fill_delta(kind, dlt, n);
+    if (memcmp(p, dlt, n) == 0) {
+        ++*k;
+        return;
+    }
+    memcpy(SLOT(fs, --*head, n), p, n);
+    fs->from[*head] = -1;
+    absorb(kind, n, fs, *head);
+    if (memcmp(SLOT(fs, *head, n), dlt, n) == 0) {
+        ++*head;
+        ++*k;
+    }
 }
 
 /* ------------------------------------------------------------------------
@@ -664,32 +687,28 @@ letter_arg(PyObject *o, long long atoms, int *atom, int *positive)
     return ok;
 }
 
-/* Store the simple run ``run`` (``grow_run``) of the given sign, twisted by
- * delta^shift, in the slot before ``*top`` unless it is the identity;
- * returns the delta power the run adds. A negative run is delta^-1 times
- * the left complement of ak ... a1, which is delta * (ak ... a1)^-1. An
- * Artin run holds that inverse, so the complement is the run read from the
- * back. */
-static int
-put_run(int kind, int n, flist *fs, Py_ssize_t *top, const u8 *run, int positive,
-        long long shift)
+/* Prepend the simple run ``run`` (``grow_run``) of the given sign to the
+ * normal form delta^*k * fs[*head:]. A negative run is delta^-1 times the
+ * left complement of ak ... a1, which is delta * (ak ... a1)^-1; an Artin
+ * run holds that inverse, so the complement is the run read from the back.
+ * Its delta^-1 lies left of the complement. */
+static void
+put_run(int kind, int n, flist *fs, Py_ssize_t *head, const u8 *run, int positive,
+        long long *k)
 {
-    u8 lc[MAXN], buf[MAXN];
-    const u8 *f = run;
+    u8 lc[MAXN];
     int i;
-    if (!positive) {
-        if (kind == KIND_ARTIN)
-            for (i = 0; i < n; i++)
-                lc[i] = run[n - 1 - i];
-        else
-            fill_left_complement(kind, run, lc, n);
-        f = lc;
+    if (positive) {
+        prepend_simple(kind, n, fs, head, run, k);
+        return;
     }
-    if (twist(kind, f, buf, n, shift))
-        f = buf;
-    if (!is_identity(f, n))
-        memcpy(SLOT(fs, --*top, n), f, n);
-    return -!positive;
+    if (kind == KIND_ARTIN)
+        for (i = 0; i < n; i++)
+            lc[i] = run[n - 1 - i];
+    else
+        fill_left_complement(kind, run, lc, n);
+    prepend_simple(kind, n, fs, head, lc, k);
+    --*k;
 }
 
 static PyObject *
@@ -698,24 +717,25 @@ py_word_to_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     u8 run[MAXN];
     PyObject *seq, *out = NULL;
     flist fs = {NULL, NULL, 0, 0};
-    long long shift = 0, atoms;
-    Py_ssize_t i, top;
+    long long k = 0, atoms;
+    Py_ssize_t i, head;
     int kind, n, a, positive, sign = 0, size = 0;
     if (!nargs_ok("word_to_nf", nargs, 3) || !kind_arg(args[0], &kind)
         || !strands_arg(args[1], &n) || !(seq = PySequence_Tuple(args[2])))
         return NULL;
     atoms = kind == KIND_ARTIN ? n - 1 : n * (n - 1) / 2;
-    top = PyTuple_GET_SIZE(seq);
-    if (!flist_reserve(&fs, top, n))
+    /* At most one factor per letter; the normal form fills the slots from
+     * the back. */
+    fs.r = head = PyTuple_GET_SIZE(seq);
+    if (!flist_reserve(&fs, fs.r, n))
         goto done;
     /* The word is cut, from the back, into simple runs: maximal runs of
      * same-sign letters whose atoms multiply to a simple (``grow_run``). A
      * positive run is that simple; a negative run a1^-1 ... ak^-1 is
      * (ak ... a1)^-1 = delta^-1 * c with c * ak ... a1 = delta, one delta for
-     * the whole run. Sweeping the deltas to the front twists each factor by
-     * the power of delta that passes through it: the count of negative runs
-     * to its right. The factors fill the list's slots from the back, one
-     * factor per simple run, then the normal form is grown from the front. */
+     * the whole run. Each run is prepended as soon as it is closed, twisted
+     * by the delta power to its right: the normal form is grown from the
+     * back, one domino per factor. */
     for (i = PyTuple_GET_SIZE(seq) - 1; i >= 0; i--) {
         if (!letter_arg(PyTuple_GET_ITEM(seq, i), atoms, &a, &positive))
             goto done;
@@ -724,16 +744,15 @@ py_word_to_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
             continue;
         }
         if (size > 0)
-            shift += put_run(kind, n, &fs, &top, run, sign, shift);
+            put_run(kind, n, &fs, &head, run, sign, &k);
         fill_atom(kind, n, a, run);
         sign = positive;
         size = 1;
     }
     if (size > 0)
-        shift += put_run(kind, n, &fs, &top, run, sign, shift);
-    for (i = top; i < PyTuple_GET_SIZE(seq); i++)
-        shift += append_simple(kind, n, &fs, SLOT(&fs, i, n));
-    out = nf_object(n, shift, &fs, NULL, NULL);
+        put_run(kind, n, &fs, &head, run, sign, &k);
+    flist_drop(&fs, 0, head, n);
+    out = nf_object(n, k, &fs, NULL, NULL);
 done:
     flist_free(&fs);
     Py_DECREF(seq);
@@ -781,31 +800,37 @@ done:
 static PyObject *
 py_invert_nf(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    u8 lc[MAXN], buf[MAXN];
+    u8 lc[MAXN];
     PyObject *seq, *out = NULL;
     flist fs = {NULL, NULL, 0, 0};
-    const u8 *p, *g;
+    const u8 *p;
     long long k;
-    Py_ssize_t r, j, lead = 0;
+    Py_ssize_t r, j, head;
     int kind, n;
     if (!nargs_ok("invert_nf", nargs, 4) || !kind_arg(args[0], &kind)
         || !strands_arg(args[1], &n) || !power_arg(args[2], &k)
         || !(seq = PySequence_Tuple(args[3])))
         return NULL;
-    r = PyTuple_GET_SIZE(seq);
+    fs.r = head = r = PyTuple_GET_SIZE(seq);
     if (!flist_reserve(&fs, r, n))
         goto done;
-    /* Each reversed factor contributes delta^-1 * its left complement, and
-     * sweeping the deltas frontward twists the complements. */
-    for (j = r; j >= 1; j--) {
-        if ((p = simple_arg(kind, PyTuple_GET_ITEM(seq, j - 1), n)) == NULL)
+    /* (delta^k f1 ... fr)^-1 = delta^-1 c_r ... delta^-1 c_1 delta^-k with
+     * c_j the left complement of f_j, so the complements are prepended from
+     * c_1 on, each followed by one delta^-1. The reversed, twisted
+     * complements of a normal form are already left-weighted, so on a
+     * normal form each prepend ends after one slide that moves nothing;
+     * that slide is what keeps a factor sequence that is not left-weighted
+     * correct, so it must stay. */
+    k = -k;
+    for (j = 0; j < r; j++) {
+        if ((p = simple_arg(kind, PyTuple_GET_ITEM(seq, j), n)) == NULL)
             goto done;
         fill_left_complement(kind, p, lc, n);
-        g = twist(kind, lc, buf, n, -(j - 1) - k) ? buf : lc;
-        if (!is_identity(g, n))
-            lead += append_simple(kind, n, &fs, g);
+        prepend_simple(kind, n, &fs, &head, lc, &k);
+        k--;
     }
-    out = nf_object(n, -k - r + lead, &fs, NULL, NULL);
+    flist_drop(&fs, 0, head, n);
+    out = nf_object(n, k, &fs, NULL, NULL);
 done:
     flist_free(&fs);
     Py_DECREF(seq);

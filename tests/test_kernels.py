@@ -297,6 +297,128 @@ class TestSimpleRuns:
             assert (k, f) == _pure.word_to_nf(kind, n, word), word
 
 
+def letter_fold(kit, kind, n, word):
+    """The normal form of ``word`` as the product of its single letters."""
+    fold = (0, ())
+    for letter in word:
+        fold = kit.multiply_nf(kind, n, *fold, *kit.word_to_nf(kind, n, [letter]))
+    return fold
+
+
+def delta_word(kind, n, m):
+    """delta^m spelled in atoms, positive for m >= 0 and negative below."""
+    atoms = _pure.simple_to_atoms(kind, _pure.delta_perm(kind, n))
+    if m >= 0:
+        return [(a, 1) for a in atoms] * m
+    return [(a, -1) for a in reversed(atoms)] * -m
+
+
+def delta_split_words(kind, n, rng):
+    """Words whose positive runs make a delta around a negative run: delta
+    spelled in atoms, cut in two, with y^-1 y put in the cut for a short
+    random positive word y, and several such words in a row."""
+    atoms = _pure.atom_count(kind, n)
+    spelled = delta_word(kind, n, 1)
+    words = []
+    for _ in range(8):
+        word = []
+        for _ in range(rng.randrange(1, 5)):
+            cut = rng.randrange(len(spelled) + 1)
+            y = [(rng.randrange(atoms), 1) for _ in range(rng.randrange(1, 4))]
+            inv_y = [(a, -1) for a, _ in reversed(y)]
+            word += spelled[:cut] + inv_y + y + spelled[cut:]
+            # A letter of either sign, so the deltas twist what lies left.
+            word.append((rng.randrange(atoms), rng.choice((1, -1))))
+        words.append(word)
+    return words
+
+
+class TestLongAndDeltaHeavyWords:
+    """Long words and words full of deltas, which strip a delta off the
+    front of the growing normal form again and again; each must equal the
+    product of its single letters."""
+
+    @pytest.mark.parametrize(
+        "kind,n,length",
+        [
+            (kind, n, length)
+            for kind in BOTH_KINDS
+            for n, length in ((3, 128), (3, 512), (4, 256), (4, 512), (12, 64), (16, 64))
+        ],
+    )
+    def test_long_words(self, kit, kind, n, length):
+        rng = random.Random(f"long words:{kind}:{n}:{length}")
+        atoms = _pure.atom_count(kind, n)
+        for bias in (0.5, 0.9, 0.1):
+            word = [
+                (rng.randrange(atoms), 1 if rng.random() < bias else -1)
+                for _ in range(length)
+            ]
+            nf = kit.word_to_nf(kind, n, word)
+            assert nf == letter_fold(kit, kind, n, word), (bias, word)
+            inverse = [(a, -sign) for a, sign in reversed(word)]
+            assert kit.invert_nf(kind, n, *nf) == kit.word_to_nf(kind, n, inverse)
+
+    @pytest.mark.parametrize("kind", BOTH_KINDS)
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 8))
+    def test_delta_powers_and_split_deltas(self, kit, kind, n):
+        rng = random.Random(f"delta words:{kind}:{n}")
+        atoms = _pure.atom_count(kind, n)
+        for m in (1, 2, 3, 7):
+            assert kit.word_to_nf(kind, n, delta_word(kind, n, m)) == (m, ())
+            assert kit.word_to_nf(kind, n, delta_word(kind, n, -m)) == (-m, ())
+        words = delta_split_words(kind, n, rng)
+        for m in (1, 2, 3, -1, -2):
+            x = [(rng.randrange(atoms), rng.choice((1, -1))) for _ in range(6)]
+            words += [delta_word(kind, n, m) + x, x + delta_word(kind, n, m)]
+        for word in words:
+            assert kit.word_to_nf(kind, n, word) == letter_fold(kit, kind, n, word), word
+
+
+def factor_sequences(kind, n, rng):
+    """Arbitrary sequences of simples, a fifth of them identities and a
+    fifth deltas, so that neither is left-weighted."""
+    dp, idp = _pure.delta_perm(kind, n), _pure.identity_perm(n)
+    simples = [bytes(p) for p in brute.all_simples(kind, n)]
+    for _ in range(60):
+        yield [
+            (idp, dp, rng.choice(simples))[min(int(rng.random() * 5), 2)]
+            for _ in range(rng.randrange(0, 16))
+        ]
+
+
+class TestNormalizeFactors:
+    """``normalize_factors`` and ``invert_nf`` on factor sequences that are
+    not normal forms, against the product of the single factors."""
+
+    @staticmethod
+    def single(kind, n, f):
+        if f == _pure.delta_perm(kind, n):
+            return 1, ()
+        return 0, (() if f == _pure.identity_perm(n) else (f,))
+
+    @pytest.mark.parametrize("kind,n", [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5)])
+    def test_against_the_product_of_factors(self, kit, kind, n):
+        rng = random.Random(f"factor sequences:{kind}:{n}")
+        for seq in factor_sequences(kind, n, rng):
+            fold = (0, ())
+            for f in seq:
+                fold = kit.multiply_nf(kind, n, *fold, *self.single(kind, n, f))
+            assert _pure.normalize_factors(kind, n, seq) == fold, seq
+            # invert_nf takes any simples, left-weighted or not.
+            k = rng.randrange(-3, 4)
+            assert kit.invert_nf(kind, n, k, tuple(seq)) == kit.invert_nf(
+                kind, n, fold[0] + k, fold[1]
+            ), (k, seq)
+
+
+class TestSimpleLength:
+    def test_artin_length_is_the_inversion_count(self):
+        for n in range(8):
+            for p in itertools.permutations(range(n)):
+                assert _pure.simple_len(kernels.KIND_ARTIN, bytes(p)) == brute.inversions(p), p
+
+
 class TestTau:
     @pytest.mark.parametrize("kind", BOTH_KINDS)
     @pytest.mark.parametrize("n", (3, 4, 6, 8))
@@ -363,6 +485,22 @@ class TestBackendEquivalence:
                         speed.multiply_nf(kind, n, *prev, *nf_s)
                     )
                     prev = nf_p
+
+    def test_long_words_against_pure(self, compiled_speed, rng):
+        """Words of 128 to 512 letters, which grow long normal forms."""
+        speed = compiled_speed
+        for kind in BOTH_KINDS:
+            for n in (2, 3, 4, 6, 9):
+                atoms = _pure.atom_count(kind, n)
+                for _ in range(6):
+                    bias = rng.choice((0.1, 0.5, 0.9))
+                    word = [
+                        (rng.randrange(atoms), 1 if rng.random() < bias else -1)
+                        for _ in range(rng.randrange(128, 513))
+                    ]
+                    nf_p = _pure.word_to_nf(kind, n, word)
+                    assert nf_p == speed.word_to_nf(kind, n, word)
+                    assert _pure.invert_nf(kind, n, *nf_p) == speed.invert_nf(kind, n, *nf_p)
 
     def test_peel_lengths_is_the_composition(self, kit, rng):
         """Each score is nf_lengths(multiply_nf(peel, target))[rational]."""
